@@ -1,182 +1,21 @@
 """Chebyshev inertial acceleration for fixed-point iterations."""
 
-from .core import (
-    EigenRange,
-    FixedPointMap,
-    InertialSchedule,
-    IterationTrace,
-    StopCriteria,
-    StopReason,
-    chebyshev_roots,
-    chebyshev_schedule,
-    constant_sor_schedule,
-    inertial_step,
-    plain_schedule,
-    run_inertial,
-)
-from .spectral import (
-    ConvergenceBound,
-    PowerResult,
-    chebyshev_eval,
-    convergence_bound,
-    estimate_eigen_range,
-    jacobian_fd,
-    monic_chebyshev,
-    per_step_rate,
-    per_step_rate_limit,
-    period_contraction_bound,
-    period_polynomial,
-    period_spectral_radius,
-    power_iteration,
-    real_spectrum_via_similarity,
-    symmetric_eigenvalues,
-)
-from .problems import (
-    FistaResult,
-    JacobiInstance,
-    ProximalProblem,
-    SparseRecoveryInstance,
-    blur_map,
-    blur_matrix,
-    build_ista,
-    deblur_map,
-    fista_momentum,
-    fista_run,
-    gen_gram_matrix,
-    gen_jacobi_instance,
-    gen_sparse_instance,
-    gen_synthetic_image,
-    jacobi_map,
-    power_map,
-    richardson_map,
-    sigmoid,
-    smooth_soft_shrink,
-    smooth_soft_shrink_grad,
-    soft_shrink,
-    softplus,
-    tanh_affine_map,
-    tanh_equation_map,
-)
-from .traceio import (
-    TRACE_HEADER,
-    TraceRecord,
-    load_config,
-    parse_config,
-    read_pgm,
-    read_trace_csv,
-    write_pgm,
-    write_trace_csv,
-)
-from .experiments import (
-    ExperimentResult,
-    bounds_rows,
-    run_deblur,
-    run_ista,
-    run_jacobi,
-    run_tanh_gram,
-    run_tanh_solve,
-    run_toy_power,
-)
-from .errors import (
-    ChebiterError,
-    ConfigError,
-    DegenerateOperator,
-    DimensionError,
-    DomainError,
-    FormatError,
-    InvalidInput,
-    InvalidRange,
-    NonFiniteValue,
-    NotAFixedPoint,
-    NotSymmetric,
-    SingularDiagonal,
-    SpectrumNotCertifiedReal,
-    UnsupportedFormat,
-)
+from . import core, errors, experiments, problems, spectral, traceio
+from .core import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+from .problems import *  # noqa: F401,F403
+from .traceio import *  # noqa: F401,F403
+from .experiments import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EigenRange",
-    "FixedPointMap",
-    "InertialSchedule",
-    "IterationTrace",
-    "StopCriteria",
-    "StopReason",
-    "chebyshev_roots",
-    "chebyshev_schedule",
-    "constant_sor_schedule",
-    "inertial_step",
-    "plain_schedule",
-    "run_inertial",
-    "ConvergenceBound",
-    "PowerResult",
-    "chebyshev_eval",
-    "convergence_bound",
-    "estimate_eigen_range",
-    "jacobian_fd",
-    "monic_chebyshev",
-    "per_step_rate",
-    "per_step_rate_limit",
-    "period_contraction_bound",
-    "period_polynomial",
-    "period_spectral_radius",
-    "power_iteration",
-    "real_spectrum_via_similarity",
-    "symmetric_eigenvalues",
-    "FistaResult",
-    "JacobiInstance",
-    "ProximalProblem",
-    "SparseRecoveryInstance",
-    "blur_map",
-    "blur_matrix",
-    "build_ista",
-    "deblur_map",
-    "fista_momentum",
-    "fista_run",
-    "gen_gram_matrix",
-    "gen_jacobi_instance",
-    "gen_sparse_instance",
-    "gen_synthetic_image",
-    "jacobi_map",
-    "power_map",
-    "richardson_map",
-    "sigmoid",
-    "smooth_soft_shrink",
-    "smooth_soft_shrink_grad",
-    "soft_shrink",
-    "softplus",
-    "tanh_affine_map",
-    "tanh_equation_map",
-    "TRACE_HEADER",
-    "TraceRecord",
-    "load_config",
-    "parse_config",
-    "read_pgm",
-    "read_trace_csv",
-    "write_pgm",
-    "write_trace_csv",
-    "ExperimentResult",
-    "bounds_rows",
-    "run_deblur",
-    "run_ista",
-    "run_jacobi",
-    "run_tanh_gram",
-    "run_tanh_solve",
-    "run_toy_power",
-    "ChebiterError",
-    "ConfigError",
-    "DegenerateOperator",
-    "DimensionError",
-    "DomainError",
-    "FormatError",
-    "InvalidInput",
-    "InvalidRange",
-    "NonFiniteValue",
-    "NotAFixedPoint",
-    "NotSymmetric",
-    "SingularDiagonal",
-    "SpectrumNotCertifiedReal",
-    "UnsupportedFormat",
+    *core.__all__,
+    *spectral.__all__,
+    *problems.__all__,
+    *traceio.__all__,
+    *experiments.__all__,
+    *errors.__all__,
     "__version__",
 ]

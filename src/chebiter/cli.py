@@ -5,7 +5,9 @@ given, writes trace/summary CSV files (plus PGM images for deblur) into
 that directory. Reruns with identical arguments reproduce the output
 files byte for byte.
 
-Settings resolve in three layers: built-in defaults, then a --config
+A subcommand's flags and config keys are the keyword parameters of its
+driver, typed by their defaults; a tuple default takes a comma list.
+Settings resolve in three layers: the driver's defaults, then a --config
 file of flat key = value lines, then explicit flags. Exit codes: 0 on
 success (a diverging run prints a warning but still exits 0), 2 on I/O
 failure, 64 on a usage error, 65 on a config file error.
@@ -13,15 +15,14 @@ failure, 64 on a usage error, 65 on a config file error.
 from __future__ import annotations
 
 import argparse
-import csv
+import inspect
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .errors import ChebiterError, ConfigError, InvalidInput
+from .errors import ChebiterError, ConfigError
 from .experiments import (
-    BOUNDS_FIELDS,
     ExperimentResult,
     bounds_rows,
     run_deblur,
@@ -31,52 +32,63 @@ from .experiments import (
     run_tanh_solve,
     run_toy_power,
 )
-from .traceio import load_config
+from .traceio import load_config, write_rows_csv
 
 EX_OK = 0
 EX_IOERR = 2
 EX_USAGE = 64
 EX_CONFIG = 65
 
-# Flag schema per subcommand: name -> default. The default's type is the
-# flag's type. Comma lists of periods stay strings until dispatch; 0 or
-# an empty string means "use the per-variant default".
-SCHEMAS: Dict[str, Dict[str, object]] = {
-    "bounds": {"a": 0.6766, "b": 1.922, "periods": "1,2,4,8"},
-    "jacobi": {"n": 64, "seed": 0, "periods": "1,8", "iters": 40},
-    "toy": {
-        "map": "power",
-        "periods": "",
-        "iters": 0,
-        "n": 128,
-        "seed": 0,
-        "std": 0.022,
-        "lam_max": 0.97,
-    },
-    "ista": {
-        "n": 256,
-        "m": 128,
-        "density": 0.1,
-        "noise": 0.1,
-        "seeds": 100,
-        "iters": 1500,
-        "period": 8,
-        "fista_iters": 100,
-        "record_first": 3,
-    },
-    "deblur": {
-        "height": 28,
-        "width": 28,
-        "relax": 0.8,
-        "range_a": 0.18,
-        "range_b": 0.98,
-        "period": 8,
-        "iters": 128,
-        "seeds": 10,
-    },
+# Subcommand -> (help, drivers by name in this module). A subcommand with
+# several drivers picks one with --map, the first by default. Drivers are
+# looked up by name on each call, so a wrapper installed over the module
+# attribute is the one that runs.
+STUDIES: Dict[str, Tuple[str, Dict[str, str]]] = {
+    "bounds": ("print the contraction bound table for a range", {"": "bounds_rows"}),
+    "jacobi": ("Jacobi iteration on a random dominant system", {"": "run_jacobi"}),
+    "toy": (
+        "small nonlinear maps (power / tanh / gram)",
+        {"power": "run_toy_power", "tanh": "run_tanh_solve", "gram": "run_tanh_gram"},
+    ),
+    "ista": ("sparse recovery sweep with smooth shrinkage", {"": "run_ista"}),
+    "deblur": ("image deblurring through a saturating blur", {"": "run_deblur"}),
 }
 
-_CHOICES = {("toy", "map"): ("power", "tanh", "gram")}
+
+def _int_list(text: str) -> Tuple[int, ...]:
+    values = tuple(int(p) for p in text.split(",") if p.strip())
+    if not values:
+        raise ValueError(f"empty list {text!r}")
+    return values
+
+
+def _keywords(driver: Callable) -> Dict[str, Callable[[str], object]]:
+    """Keyword parameter -> converter from text, by the type of its default."""
+    return {
+        p.name: _int_list if isinstance(p.default, tuple) else type(p.default)
+        for p in inspect.signature(driver).parameters.values()
+        if p.default is not p.empty and p.default is not None
+    }
+
+
+# Read once, from the drivers as defined, so a wrapper installed later
+# need not keep the signature of the driver it replaces.
+KEYWORDS = {
+    name: _keywords(globals()[name])
+    for _, drivers in STUDIES.values()
+    for name in drivers.values()
+}
+
+
+def _flags(drivers: Dict[str, str]) -> Dict[str, Callable[[str], object]]:
+    """The union of the drivers' keywords, after --map if there is a choice."""
+    flags: Dict[str, Callable[[str], object]] = {"map": str} if len(drivers) > 1 else {}
+    for name in drivers.values():
+        flags.update(KEYWORDS[name])
+    return flags
+
+
+FLAGS = {command: _flags(drivers) for command, (_, drivers) in STUDIES.items()}
 
 
 class _UsageError(Exception):
@@ -95,68 +107,37 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="chebiter", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    helps = {
-        "bounds": "print the contraction bound table for a range",
-        "jacobi": "Jacobi iteration on a random dominant system",
-        "toy": "small nonlinear maps (power / tanh / gram)",
-        "ista": "sparse recovery sweep with smooth shrinkage",
-        "deblur": "image deblurring through a saturating blur",
-    }
-    for command, schema in SCHEMAS.items():
-        p = sub.add_parser(command, help=helps[command])
+    for command, (help_text, drivers) in STUDIES.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", default=None, help="flat key = value settings file")
         p.add_argument("--out", default=None, help="directory for trace/summary files")
-        for key, default in schema.items():
-            kwargs = {"default": argparse.SUPPRESS, "type": type(default)}
-            choices = _CHOICES.get((command, key))
-            if choices:
-                kwargs["choices"] = choices
+        for key, convert in FLAGS[command].items():
+            kwargs = {"default": argparse.SUPPRESS, "type": convert}
+            if key == "map":
+                kwargs["choices"] = tuple(drivers)
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, **kwargs)
     return parser
 
 
-def _parse_periods(text: str, exc=None) -> Tuple[int, ...]:
-    exc = exc or InvalidInput
-    try:
-        periods = tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise exc(f"periods must be a comma list of integers, got {text!r}")
-    if not periods:
-        raise exc(f"periods list is empty: {text!r}")
-    return periods
-
-
-def _coerce(key: str, raw: str, default: object) -> object:
-    try:
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"config value for {key!r} is not a number: {raw!r}")
-    if key == "periods":
-        _parse_periods(raw, ConfigError)
-    return raw
-
-
 def merge_settings(command: str, args: argparse.Namespace) -> Dict[str, object]:
-    """Resolve settings as defaults, then config file, then flags."""
-    schema = SCHEMAS[command]
-    merged = dict(schema)
+    """The settings given by the config file, then overridden by flags.
+    Settings given by neither are left to the driver's defaults."""
+    flags = FLAGS[command]
+    drivers = STUDIES[command][1]
+    settings: Dict[str, object] = {}
     if args.config is not None:
         for key, raw in load_config(args.config).items():
             key = key.replace("-", "_")
-            if key not in schema:
+            if key not in flags:
                 raise ConfigError(f"unknown config key {key!r} for command {command!r}")
-            value = _coerce(key, raw, schema[key])
-            choices = _CHOICES.get((command, key))
-            if choices and value not in choices:
-                raise ConfigError(f"config value for {key!r} must be one of {choices}")
-            merged[key] = value
-    for key in schema:
-        if hasattr(args, key):
-            merged[key] = getattr(args, key)
-    return merged
+            try:
+                settings[key] = flags[key](raw)
+            except ValueError:
+                raise ConfigError(f"config value for {key!r} is invalid: {raw!r}") from None
+            if key == "map" and raw not in drivers:
+                raise ConfigError(f"config value for 'map' must be one of {tuple(drivers)}")
+    settings.update((key, value) for key, value in vars(args).items() if key in flags)
+    return settings
 
 
 def _hfmt(value) -> str:
@@ -170,6 +151,16 @@ def _print_rows(rows: List[dict]) -> None:
         print("  " + " ".join(f"{k}={_hfmt(v)}" for k, v in row.items()))
 
 
+def _print_bounds(rows: List[dict], out_dir: Optional[str]) -> None:
+    print(f"bounds: range [{_hfmt(rows[0]['range_a'])}, {_hfmt(rows[0]['range_b'])}]")
+    _print_rows(rows)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, "bounds.csv")
+        write_rows_csv(path, rows)
+        print(f"wrote {path}")
+
+
 def _print_result(result: ExperimentResult, out_dir: Optional[str]) -> None:
     head = " ".join(f"{k}={_hfmt(v)}" for k, v in result.headline.items())
     print(f"{result.name}: {head}")
@@ -180,92 +171,14 @@ def _print_result(result: ExperimentResult, out_dir: Optional[str]) -> None:
         print(f"warning: {message}", file=sys.stderr)
 
 
-def _cmd_bounds(settings: Dict[str, object], out_dir: Optional[str]) -> None:
-    rows = bounds_rows(
-        float(settings["a"]), float(settings["b"]), _parse_periods(str(settings["periods"]))
-    )
-    print(f"bounds: range [{_hfmt(settings['a'])}, {_hfmt(settings['b'])}]")
-    _print_rows(rows)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "bounds.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=BOUNDS_FIELDS, lineterminator="\n")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(
-                    {k: (f"{v:.17g}" if isinstance(v, float) else v) for k, v in row.items()}
-                )
-        print(f"wrote {path}")
-
-
-def _cmd_toy(settings: Dict[str, object], out_dir: Optional[str]) -> ExperimentResult:
-    variant = settings["map"]
-    periods = str(settings["periods"])
-    iters = int(settings["iters"])
-    if variant == "power":
-        return run_toy_power(
-            out_dir,
-            periods=_parse_periods(periods or "1,2,8"),
-            iters=iters or 40,
-        )
-    if variant == "tanh":
-        return run_tanh_solve(
-            out_dir,
-            period=_parse_periods(periods or "8")[0],
-            iters=iters or 20,
-        )
-    return run_tanh_gram(
-        out_dir,
-        n=int(settings["n"]),
-        seed=int(settings["seed"]),
-        std=float(settings["std"]),
-        lam_max=float(settings["lam_max"]),
-        periods=_parse_periods(periods or "2,4,8"),
-        iters=iters or 400,
-    )
-
-
 def _dispatch(command: str, settings: Dict[str, object], out_dir: Optional[str]) -> None:
+    drivers = STUDIES[command][1]
+    name = drivers[settings.pop("map", next(iter(drivers)))]
+    kwargs = {key: value for key, value in settings.items() if key in KEYWORDS[name]}
     if command == "bounds":
-        _cmd_bounds(settings, out_dir)
-        return
-    if command == "jacobi":
-        result = run_jacobi(
-            out_dir,
-            n=int(settings["n"]),
-            seed=int(settings["seed"]),
-            periods=_parse_periods(str(settings["periods"])),
-            iters=int(settings["iters"]),
-        )
-    elif command == "toy":
-        result = _cmd_toy(settings, out_dir)
-    elif command == "ista":
-        result = run_ista(
-            out_dir,
-            n=int(settings["n"]),
-            m=int(settings["m"]),
-            density=float(settings["density"]),
-            noise_sigma=float(settings["noise"]),
-            seeds=int(settings["seeds"]),
-            iters=int(settings["iters"]),
-            period=int(settings["period"]),
-            fista_iters=int(settings["fista_iters"]),
-            record_first=int(settings["record_first"]),
-        )
+        _print_bounds(globals()[name](**kwargs), out_dir)
     else:
-        result = run_deblur(
-            out_dir,
-            height=int(settings["height"]),
-            width=int(settings["width"]),
-            relax=float(settings["relax"]),
-            range_a=float(settings["range_a"]),
-            range_b=float(settings["range_b"]),
-            period=int(settings["period"]),
-            iters=int(settings["iters"]),
-            seeds=int(settings["seeds"]),
-        )
-    _print_result(result, out_dir)
+        _print_result(globals()[name](out_dir, **kwargs), out_dir)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,5 +1,22 @@
 """Exception and warning types shared across the package."""
 
+__all__ = [
+    "ChebiterError",
+    "ConfigError",
+    "DegenerateOperator",
+    "DimensionError",
+    "DomainError",
+    "FormatError",
+    "InvalidInput",
+    "InvalidRange",
+    "NonFiniteValue",
+    "NotAFixedPoint",
+    "NotSymmetric",
+    "SingularDiagonal",
+    "SpectrumNotCertifiedReal",
+    "UnsupportedFormat",
+]
+
 
 class ChebiterError(Exception):
     """Base class for all package errors."""

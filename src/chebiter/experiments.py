@@ -8,10 +8,9 @@ same arguments reproduces its output files byte for byte.
 """
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from .spectral import (
     per_step_rate_limit,
     period_contraction_bound,
 )
-from .traceio import TraceRecord, write_pgm, write_trace_csv
+from .traceio import TraceRecord, write_pgm, write_rows_csv, write_trace_csv
 
 __all__ = [
     "ExperimentResult",
@@ -68,9 +67,8 @@ class ExperimentResult:
     images, headline numbers for printing, and divergence warnings."""
 
     name: str
-    records: List[TraceRecord]
-    summary: List[dict]
-    fieldnames: List[str]
+    records: List[TraceRecord] = field(default_factory=list)
+    summary: List[dict] = field(default_factory=list)
     images: Dict[str, np.ndarray] = field(default_factory=dict)
     headline: Dict[str, float] = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
@@ -82,22 +80,12 @@ class ExperimentResult:
         return os.path.join(out_dir, f"{self.name}_summary.csv")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
 def _emit(result: ExperimentResult, out_dir) -> None:
     if out_dir is None:
         return
     os.makedirs(out_dir, exist_ok=True)
     write_trace_csv(result.trace_path(out_dir), result.records)
-    with open(result.summary_path(out_dir), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=result.fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in result.summary:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
+    write_rows_csv(result.summary_path(out_dir), result.summary)
     for key, img in result.images.items():
         write_pgm(os.path.join(out_dir, f"{result.name}_{key}.pgm"), img)
 
@@ -149,7 +137,9 @@ def _standard_schedules(rng: EigenRange, periods: Sequence[int]) -> Dict[str, In
     return schedules
 
 
-def bounds_rows(a: float, b: float, periods: Sequence[int]) -> List[dict]:
+def bounds_rows(
+    a: float = 0.6766, b: float = 1.922, periods: Sequence[int] = (1, 2, 4, 8)
+) -> List[dict]:
     """Contraction bound table for the range [a, b] at each period."""
     rng = EigenRange(a, b, unchecked=True)
     if rng.a <= 0.0:
@@ -172,18 +162,6 @@ def bounds_rows(a: float, b: float, periods: Sequence[int]) -> List[dict]:
     return rows
 
 
-BOUNDS_FIELDS = [
-    "period",
-    "range_a",
-    "range_b",
-    "sor_factor",
-    "sor_rate",
-    "period_bound",
-    "per_step",
-    "limit",
-]
-
-
 def run_jacobi(
     out_dir=None,
     n: int = 64,
@@ -197,18 +175,7 @@ def run_jacobi(
     solution. The eigenvalue range comes from the map's own spectrum
     certificate at the solution.
     """
-    fields = [
-        "solver",
-        "period",
-        "range_a",
-        "range_b",
-        "period_bound",
-        "per_step",
-        "final_error",
-        "iters_to_threshold",
-        "threshold",
-    ]
-    result = ExperimentResult(name="jacobi", records=[], summary=[], fieldnames=fields)
+    result = ExperimentResult("jacobi")
     inst = gen_jacobi_instance(n, seed)
     fpmap, _ = jacobi_map(inst.P, inst.q)
     x_star = np.zeros(n)
@@ -241,28 +208,17 @@ def run_toy_power(
     out_dir=None,
     periods: Sequence[int] = (1, 2, 8),
     iters: int = 40,
-    pilot_iters: int = 60,
 ) -> ExperimentResult:
     """Two-dimensional fractional power map study from the start (2, 2).
 
-    A plain pilot run locates the fixed point (the plain iteration
+    A 60-step plain pilot run locates the fixed point (the plain iteration
     contracts comfortably here); the schedule range is then measured at
     that point and the solvers compared on iterations to 1e-10.
     """
-    fields = [
-        "solver",
-        "period",
-        "range_a",
-        "range_b",
-        "per_step",
-        "final_error",
-        "iters_to_threshold",
-        "threshold",
-    ]
-    result = ExperimentResult(name="toy_power", records=[], summary=[], fieldnames=fields)
+    result = ExperimentResult("toy_power")
     fpmap = power_map()
     x0 = np.array([2.0, 2.0])
-    pilot = run_inertial(fpmap, plain_schedule(), x0, StopCriteria(max_iters=pilot_iters))
+    pilot = run_inertial(fpmap, plain_schedule(), x0, StopCriteria(max_iters=60))
     x_star = pilot.x_final
     rng = estimate_eigen_range(fpmap, x_star).clipped()
     schedules = _standard_schedules(rng, periods)
@@ -295,30 +251,28 @@ def run_toy_power(
 
 def run_tanh_solve(
     out_dir=None,
-    y: Tuple[float, float] = (0.1, 0.6),
-    period: int = 8,
+    periods: Sequence[int] = (8,),
     iters: int = 20,
-    pilot_iters: int = 40,
 ) -> ExperimentResult:
-    """Solving x + tanh(x) = y, where the plain iteration barely moves.
+    """Solving x + tanh(x) = y for y = (0.1, 0.6), where the plain
+    iteration barely moves.
 
-    Every eigenvalue of B lies in (1, 2], so the pilot phase runs a
-    Chebyshev schedule on that whole interval (the plain iteration would
-    need thousands of steps), then the measured range at the solution
-    drives the comparison runs.
+    Every eigenvalue of B lies in (1, 2], so a 40-step pilot phase runs a
+    Chebyshev schedule of the first period on that whole interval (the
+    plain iteration would need thousands of steps), then the measured
+    range at the solution drives the comparison runs. The headline
+    compares plain with the last schedule run.
     """
-    fields = ["solver", "period", "range_a", "range_b", "final_error"]
-    result = ExperimentResult(name="tanh_solve", records=[], summary=[], fieldnames=fields)
-    fpmap = tanh_equation_map(np.asarray(y, dtype=float))
-    n = fpmap.dim
-    x0 = np.zeros(n)
+    result = ExperimentResult("tanh_solve")
+    fpmap = tanh_equation_map(np.array([0.1, 0.6]))
+    x0 = np.zeros(fpmap.dim)
     coarse = EigenRange(1.0, 2.0, unchecked=True).clipped()
     pilot = run_inertial(
-        fpmap, chebyshev_schedule(coarse, period), x0, StopCriteria(max_iters=pilot_iters)
+        fpmap, chebyshev_schedule(coarse, periods[0]), x0, StopCriteria(max_iters=40)
     )
     x_star = pilot.x_final
     rng = estimate_eigen_range(fpmap, x_star).clipped()
-    schedules = {"plain": plain_schedule(), f"cheb{period}": chebyshev_schedule(rng, period)}
+    schedules = _standard_schedules(rng, periods)
     traces = _run_solvers(fpmap, schedules, x0, iters, x_star, result)
     for solver, tr in traces.items():
         sched_rng = schedules[solver].range
@@ -332,7 +286,7 @@ def run_tanh_solve(
             }
         )
     plain_err = float(traces["plain"].errors[-1])
-    cheb_err = float(traces[f"cheb{period}"].errors[-1])
+    cheb_err = float(traces[list(traces)[-1]].errors[-1])
     result.headline = {
         "solution_1": float(x_star[0]),
         "solution_2": float(x_star[1]),
@@ -361,19 +315,7 @@ def run_tanh_gram(
     schedule range at (1 - lam_max, 1 - lam_min). Per-period error ratios
     from the traces can be compared against the closed-form bound.
     """
-    fields = [
-        "solver",
-        "period",
-        "range_a",
-        "range_b",
-        "period_bound",
-        "per_step",
-        "limit",
-        "final_error",
-        "iters_to_threshold",
-        "threshold",
-    ]
-    result = ExperimentResult(name="tanh_gram", records=[], summary=[], fieldnames=fields)
+    result = ExperimentResult("tanh_gram")
     A = gen_gram_matrix(n, std, seed, normalize_to=lam_max)
     fpmap = tanh_affine_map(A)
     x_star = np.zeros(n)
@@ -408,7 +350,7 @@ def run_ista(
     n: int = 256,
     m: int = 128,
     density: float = 0.1,
-    noise_sigma: float = 0.1,
+    noise: float = 0.1,
     seeds: int = 100,
     iters: int = 1500,
     period: int = 8,
@@ -425,22 +367,14 @@ def run_ista(
     comparison is at fista_iters iterations for both methods. Full traces
     are recorded for the first record_first seeds, summary rows for all.
     """
-    fields = [
-        "seed",
-        "range_a",
-        "range_b",
-        "target_error",
-        "cheb_iters_to_target",
-        "plain_error_at_baseline",
-        "fista_error_at_baseline",
-        "fista_win",
-    ]
-    result = ExperimentResult(name="ista", records=[], summary=[], fieldnames=fields)
+    if seeds < 1:
+        raise InvalidInput(f"seeds must be >= 1, got {seeds}")
+    result = ExperimentResult("ista")
     stop = StopCriteria(max_iters=iters)
     hit_counts = []
     fista_wins = 0
     for seed in range(seeds):
-        inst = gen_sparse_instance(n, m, density, noise_sigma, seed)
+        inst = gen_sparse_instance(n, m, density, noise, seed)
         prob = build_ista(inst)
         x0 = np.zeros(n)
         plain_tr = run_inertial(prob.fpmap, plain_schedule(), x0, stop, x_ref=inst.x_true)
@@ -507,17 +441,9 @@ def run_deblur(
     image (and so the true range) is unknown. Images for the first seed
     are saved as PGM files alongside the traces.
     """
-    fields = [
-        "seed",
-        "range_a",
-        "range_b",
-        "measured_a",
-        "measured_b",
-        "mse_plain",
-        "mse_cheb",
-        "cheb_win",
-    ]
-    result = ExperimentResult(name="deblur", records=[], summary=[], fieldnames=fields)
+    if seeds < 1:
+        raise InvalidInput(f"seeds must be >= 1, got {seeds}")
+    result = ExperimentResult("deblur")
     rng = EigenRange(range_a, range_b)
     forward = blur_map(height, width)
     schedules = {"plain": plain_schedule(), f"cheb{period}": chebyshev_schedule(rng, period)}

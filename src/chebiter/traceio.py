@@ -1,7 +1,7 @@
-"""File formats for experiment outputs: error-trace CSV, binary PGM
-images, and flat key=value config files.
+"""File formats for experiment outputs: error-trace CSV, summary tables,
+binary PGM images, and flat key=value config files.
 
-Floats are written with %.17g so a written trace reads back bit for bit,
+Floats are written with %.17g so a written file reads back bit for bit,
 and images quantize with floor(p * 255 + 0.5), which makes outputs
 byte-identical across runs of the same experiment.
 """
@@ -71,6 +71,17 @@ def write_trace_csv(path, records: Sequence[TraceRecord]) -> None:
             for k, err in enumerate(rec.errors):
                 omega = "" if k == 0 else _fmt(rec.omegas[k - 1])
                 writer.writerow([rec.run_id, rec.solver, k, _fmt(err), omega])
+
+
+def write_rows_csv(path, rows: Sequence[dict]) -> None:
+    """Write a non-empty list of same-keyed dicts as CSV, one row each,
+    under a header of the first row's keys. Floats are written like
+    trace values."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(rows[0])
+        for row in rows:
+            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row.values()])
 
 
 def read_trace_csv(path) -> List[TraceRecord]:

@@ -5,9 +5,12 @@ numbers from the module tests; CLI tests cover settings precedence,
 exit codes, and byte-identical reruns.
 """
 import os
+import re
 
 import pytest
 
+import chebiter
+from chebiter import cli
 from chebiter.cli import EX_CONFIG, EX_IOERR, EX_OK, EX_USAGE, main
 from chebiter.errors import InvalidInput
 from chebiter.experiments import (
@@ -84,6 +87,11 @@ class TestToyDrivers:
         assert res.headline["solution_2"] == pytest.approx(TANH_SOLVE_X[1], abs=1e-9)
         rows = by_solver(res)
         assert rows["plain"]["final_error"] >= 10.0 * rows["cheb8"]["final_error"]
+
+    def test_tanh_solve_runs_every_period(self):
+        res = run_tanh_solve(None, periods=(1, 4, 8))
+        assert list(by_solver(res)) == ["plain", "sor", "cheb4", "cheb8"]
+        assert res.headline["cheb_final"] == by_solver(res)["cheb8"]["final_error"]
 
     def test_tanh_gram_study(self, tmp_path):
         res = run_tanh_gram(str(tmp_path))
@@ -169,6 +177,27 @@ class TestCliExitCodes:
         cfg.write_text("periods = 1;8\n")
         assert main(["jacobi", "--config", str(cfg)]) == EX_CONFIG
 
+    def test_bad_map_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("map = frob\n")
+        assert main(["toy", "--config", str(cfg)]) == EX_CONFIG
+
+    @pytest.mark.parametrize("command", ["ista", "deblur"])
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_no_seeds(self, command, seeds, tmp_path, capsys):
+        assert main([command, "--seeds", seeds, "--out", str(tmp_path)]) == EX_USAGE
+        assert "seeds" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags", [["--iters", "0"], ["--periods", ""]])
+    def test_toy_has_no_zero_default_sentinel(self, flags, capsys):
+        assert main(["toy", *flags]) == EX_USAGE
+
+    def test_toy_zero_iters_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("iters = 0\n")
+        assert main(["toy", "--config", str(cfg)]) == EX_USAGE
+
 
 class TestCliBehavior:
     def test_bounds_prints_reference_digits(self, capsys):
@@ -221,3 +250,86 @@ class TestCliBehavior:
         img = read_pgm(str(tmp_path / "deblur_truth.pgm"))
         assert img.shape == (28, 28)
         assert float(img.min()) >= 0.0 and float(img.max()) <= 1.0
+
+
+# The command line surface: long flags per subcommand, which are also its
+# config keys (with "-" for "_"), and toy's --map choices.
+CLI_FLAGS = {
+    "bounds": {"a", "b", "periods"},
+    "jacobi": {"n", "seed", "periods", "iters"},
+    "toy": {"map", "periods", "iters", "n", "seed", "std", "lam-max"},
+    "ista": {
+        "n", "m", "density", "noise", "seeds", "iters", "period", "fista-iters", "record-first",
+    },
+    "deblur": {
+        "height", "width", "relax", "range-a", "range-b", "period", "iters", "seeds",
+    },
+}
+
+PACKAGE_NAMES = """
+    EigenRange FixedPointMap InertialSchedule IterationTrace StopCriteria StopReason
+    chebyshev_roots chebyshev_schedule constant_sor_schedule inertial_step plain_schedule
+    run_inertial ConvergenceBound PowerResult chebyshev_eval convergence_bound
+    estimate_eigen_range jacobian_fd monic_chebyshev per_step_rate per_step_rate_limit
+    period_contraction_bound period_polynomial period_spectral_radius power_iteration
+    real_spectrum_via_similarity symmetric_eigenvalues FistaResult JacobiInstance
+    ProximalProblem SparseRecoveryInstance blur_map blur_matrix build_ista deblur_map
+    fista_momentum fista_run gen_gram_matrix gen_jacobi_instance gen_sparse_instance
+    gen_synthetic_image jacobi_map power_map richardson_map sigmoid smooth_soft_shrink
+    smooth_soft_shrink_grad soft_shrink softplus tanh_affine_map tanh_equation_map
+    TRACE_HEADER TraceRecord load_config parse_config read_pgm read_trace_csv write_pgm
+    write_trace_csv ExperimentResult bounds_rows run_deblur run_ista run_jacobi run_tanh_gram
+    run_tanh_solve run_toy_power ChebiterError ConfigError DegenerateOperator DimensionError
+    DomainError FormatError InvalidInput InvalidRange NonFiniteValue NotAFixedPoint
+    NotSymmetric SingularDiagonal SpectrumNotCertifiedReal UnsupportedFormat __version__
+""".split()
+
+
+class TestSurface:
+    @pytest.mark.parametrize("command", sorted(CLI_FLAGS))
+    def test_long_flags(self, command, capsys):
+        assert main([command, "--help"]) == EX_OK
+        flags = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+        assert flags == CLI_FLAGS[command] | {"help", "config", "out"}
+
+    def test_toy_map_choices(self, capsys):
+        assert main(["toy", "--help"]) == EX_OK
+        assert "--map {power,tanh,gram}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", sorted(CLI_FLAGS))
+    def test_every_flag_is_a_config_key(self, command, tmp_path):
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text(
+            "".join(f"{k} = {'power' if k == 'map' else '1'}\n" for k in CLI_FLAGS[command])
+        )
+        args = cli.build_parser().parse_args([command, "--config", str(cfg)])
+        settings = cli.merge_settings(command, args)
+        assert set(settings) == {k.replace("-", "_") for k in CLI_FLAGS[command]}
+
+    def test_package_exports(self):
+        assert len(PACKAGE_NAMES) == 82
+        assert sorted(chebiter.__all__) == sorted(PACKAGE_NAMES)
+        for name in PACKAGE_NAMES:
+            assert hasattr(chebiter, name), name
+
+    def test_wrapped_drivers_get_the_flags(self, monkeypatch, capsys):
+        # A benchmark tracer replaces drivers with (*args, **kwargs) wrappers
+        # while the CLI runs; the flags must still reach the real driver.
+        calls = []
+
+        def wrap(fn):
+            def wrapper(*args, **kwargs):
+                calls.append((fn.__name__, kwargs))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "run_jacobi", wrap(run_jacobi))
+        monkeypatch.setattr(cli, "bounds_rows", wrap(bounds_rows))
+        assert main(["jacobi", "--n", "16", "--iters", "12", "--periods", "1,4"]) == EX_OK
+        assert main(["bounds", "--a", "0.2", "--b", "0.8", "--periods", "2"]) == EX_OK
+        assert calls == [
+            ("run_jacobi", {"n": 16, "iters": 12, "periods": (1, 4)}),
+            ("bounds_rows", {"a": 0.2, "b": 0.8, "periods": (2,)}),
+        ]
+        assert "cheb4" in capsys.readouterr().out
