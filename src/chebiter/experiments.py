@@ -260,8 +260,10 @@ def run_tanh_solve(
     Every eigenvalue of B lies in (1, 2], so a 40-step pilot phase runs a
     Chebyshev schedule of the first period on that whole interval (the
     plain iteration would need thousands of steps), then the measured
-    range at the solution drives the comparison runs. The headline
-    compares plain with the last schedule run.
+    range at the solution drives the comparison runs. The headline gives
+    the final errors of plain and of the last schedule run, not their
+    ratio: the reference point is the pilot's endpoint, which a scheduled
+    run can land on exactly.
     """
     result = ExperimentResult("tanh_solve")
     fpmap = tanh_equation_map(np.array([0.1, 0.6]))
@@ -285,16 +287,13 @@ def run_tanh_solve(
                 "final_error": float(tr.errors[-1]),
             }
         )
-    plain_err = float(traces["plain"].errors[-1])
-    cheb_err = float(traces[list(traces)[-1]].errors[-1])
     result.headline = {
         "solution_1": float(x_star[0]),
         "solution_2": float(x_star[1]),
         "range_a": rng.a,
         "range_b": rng.b,
-        "plain_final": plain_err,
-        "cheb_final": cheb_err,
-        "improvement": plain_err / cheb_err if cheb_err > 0 else float("inf"),
+        "plain_final": float(traces["plain"].errors[-1]),
+        "cheb_final": float(traces[list(traces)[-1]].errors[-1]),
     }
     _emit(result, out_dir)
     return result
@@ -384,7 +383,7 @@ def run_ista(
         cheb_tr = run_inertial(prob.fpmap, sched, x0, stop, x_ref=inst.x_true)
         hit = _iters_to(cheb_tr.errors, target)
         hit_counts.append(hit if hit >= 0 else iters + 1)
-        fista = fista_run(inst, fista_iters)
+        fista = fista_run(prob, fista_iters)
         plain_at = float(plain_tr.errors[min(fista_iters, plain_tr.steps)])
         fista_at = float(fista.errors[-1])
         win = fista_at < plain_at

@@ -2,8 +2,9 @@
 systems, toy nonlinear maps, and the sigmoid blur model, plus the seeded
 generators that produce reproducible instances of each.
 
-Maps that know their Jacobian factors as diag(q) times a symmetric matrix
-with q >= 0 attach a jacobian_spectrum hook, so range estimation gets the
+Maps that know their Jacobian as shift I + scale diag(q) A, with A
+symmetric and q >= 0, state it once through _factored_jacobian, which
+also attaches a jacobian_spectrum hook, so range estimation gets the
 exact real spectrum instead of falling back to symmetrization.
 """
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -24,7 +25,13 @@ from .errors import (
     NonFiniteValue,
     SingularDiagonal,
 )
-from .spectral import power_iteration, real_spectrum_via_similarity, _rel_asymmetry
+from .spectral import (
+    _REL_ASYM_TOL,
+    _check_square,
+    _rel_asymmetry,
+    power_iteration,
+    real_spectrum_via_similarity,
+)
 
 __all__ = [
     "sigmoid",
@@ -52,8 +59,6 @@ __all__ = [
     "deblur_map",
     "gen_synthetic_image",
 ]
-
-_SYM_TOL = 1e-10
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -89,13 +94,9 @@ def softplus(x, beta: float = 100.0):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(beta * x))) / beta
 
 
-def smooth_soft_shrink(x, tau: float, beta: float = 100.0, odd: bool = False):
+def smooth_soft_shrink(x, tau: float, beta: float = 100.0):
     """Differentiable surrogate for soft shrinkage built from softplus.
 
-    The default form softplus(x - tau) + softplus(-(x + tau)) is
-    nonnegative everywhere: it tracks soft shrinkage to within
-    2 log(2) / beta for x >= -tau but folds the negative branch upward,
-    deviating by about 2(|x| - tau) below that. The odd=True variant
     softplus(x - tau) - softplus(-x - tau) is an odd function whose
     deviation from soft shrinkage stays below 2 log(2) / beta everywhere
     and whose derivative lies in [0, 1], which is what lets an iteration
@@ -104,22 +105,41 @@ def smooth_soft_shrink(x, tau: float, beta: float = 100.0, odd: bool = False):
     if tau < 0.0:
         raise InvalidInput(f"shrinkage threshold must be >= 0, got {tau}")
     x = np.asarray(x, dtype=float)
-    if odd:
-        return softplus(x - tau, beta) - softplus(-x - tau, beta)
-    return softplus(x - tau, beta) + softplus(-(x + tau), beta)
+    return softplus(x - tau, beta) - softplus(-x - tau, beta)
 
 
-def smooth_soft_shrink_grad(x, tau: float, beta: float = 100.0, odd: bool = False):
-    """Derivative of smooth_soft_shrink with matching arguments.
-
-    In [0, 1] for the odd variant, in [-1, 1] for the default one.
-    """
+def smooth_soft_shrink_grad(x, tau: float, beta: float = 100.0):
+    """Derivative of smooth_soft_shrink with matching arguments, in [0, 1]."""
     if tau < 0.0:
         raise InvalidInput(f"shrinkage threshold must be >= 0, got {tau}")
     x = np.asarray(x, dtype=float)
-    if odd:
-        return sigmoid(beta * (x - tau)) + sigmoid(-beta * (x + tau))
-    return sigmoid(beta * (x - tau)) - sigmoid(-beta * (x + tau))
+    return sigmoid(beta * (x - tau)) + sigmoid(-beta * (x + tau))
+
+
+_Hook = Callable[[np.ndarray], np.ndarray]
+
+
+def _factored_jacobian(
+    A: np.ndarray, q: _Hook, shift: float = 0.0, scale: float = 1.0
+) -> Tuple[_Hook, Optional[_Hook]]:
+    """(jacobian, jacobian_spectrum) hooks for J(x) = shift I + scale diag(q(x)) A.
+
+    q(x) must be nonnegative. The spectrum hook, shift + scale times the
+    real spectrum of diag(q(x)) A, is None unless A is symmetric to the
+    tolerance of the spectral layer.
+    """
+    n = A.shape[0]
+
+    def jacobian(x):
+        return shift * np.eye(n) + scale * q(x)[:, None] * A
+
+    spectrum = None
+    if _rel_asymmetry(A) <= _REL_ASYM_TOL:
+
+        def spectrum(x):
+            return shift + scale * real_spectrum_via_similarity(A, q(x))
+
+    return jacobian, spectrum
 
 
 @dataclass(frozen=True)
@@ -179,38 +199,31 @@ class ProximalProblem:
 
     A = I - gamma M^T M is symmetric with gamma = 1 / lambda_max(M^T M),
     tau = reg_weight * gamma. The fixed-point map uses the smooth
-    shrinkage; odd records which variant.
+    shrinkage; fista_run reuses gamma and tau with the exact one.
     """
 
+    instance: SparseRecoveryInstance
     fpmap: FixedPointMap
     A: np.ndarray
     b: np.ndarray
     gamma: float
     tau: float
-    beta: float
-    odd: bool
 
 
-def build_ista(
-    instance: SparseRecoveryInstance,
-    beta: float = 100.0,
-    odd: bool = True,
-    reg_weight: float = 1.0,
-) -> ProximalProblem:
+def build_ista(instance: SparseRecoveryInstance, reg_weight: float = 1.0) -> ProximalProblem:
     """Shrinkage-based fixed-point iteration for a sparse recovery instance.
 
     The step size is 1 over the largest eigenvalue of M^T M, found by
-    power iteration. With the odd shrinkage variant the Jacobian is
-    diag of the shrinkage derivative (nonnegative) times symmetric A, so
-    the map carries a certified real spectrum; the default variant's
-    derivative can be negative and gets no certificate.
+    power iteration. The Jacobian is diag of the shrinkage derivative
+    (in [0, 1]) times symmetric A, so the map carries a certified real
+    spectrum.
     """
     if reg_weight <= 0.0:
         raise InvalidInput(f"reg_weight must be > 0, got {reg_weight}")
     M, y = instance.M, instance.y
     n = instance.n
     G = M.T @ M
-    lam_max = power_iteration(G, rtol=1e-10, max_iters=10000).value
+    lam_max = power_iteration(G).value
     if lam_max <= 0.0:
         raise DegenerateOperator("measurement operator is zero; no step size exists")
     gamma = 1.0 / lam_max
@@ -219,25 +232,13 @@ def build_ista(
     b = gamma * (M.T @ y)
 
     def step(x):
-        return smooth_soft_shrink(A @ x + b, tau, beta, odd=odd)
+        return smooth_soft_shrink(A @ x + b, tau)
 
-    def jac(x):
-        g = smooth_soft_shrink_grad(A @ x + b, tau, beta, odd=odd)
-        return g[:, None] * A
-
-    spectrum = None
-    if odd:
-
-        def spectrum(x):
-            g = smooth_soft_shrink_grad(A @ x + b, tau, beta, odd=True)
-            return real_spectrum_via_similarity(A, g)
-
+    jac, spectrum = _factored_jacobian(A, lambda x: smooth_soft_shrink_grad(A @ x + b, tau))
     fpmap = FixedPointMap(
         dim=n, eval=step, jacobian=jac, jacobian_spectrum=spectrum, name="ista"
     )
-    return ProximalProblem(
-        fpmap=fpmap, A=A, b=b, gamma=gamma, tau=tau, beta=beta, odd=odd
-    )
+    return ProximalProblem(instance=instance, fpmap=fpmap, A=A, b=b, gamma=gamma, tau=tau)
 
 
 @dataclass(frozen=True)
@@ -253,29 +254,22 @@ def fista_momentum(t: float) -> float:
 
 
 def fista_run(
-    instance: SparseRecoveryInstance,
-    iters: int,
-    x_ref: Optional[np.ndarray] = None,
-    reg_weight: float = 1.0,
+    problem: ProximalProblem, iters: int, x_ref: Optional[np.ndarray] = None
 ) -> FistaResult:
     """Accelerated proximal gradient baseline with exact soft shrinkage.
 
-    Starts from zero with unit momentum. Errors are measured against
+    Uses the step size gamma and threshold tau of the problem build_ista
+    made. Starts from zero with unit momentum. Errors are measured against
     x_ref, defaulting to the true signal of the instance.
     """
     if iters < 1:
         raise InvalidInput(f"iters must be >= 1, got {iters}")
+    instance, gamma, tau = problem.instance, problem.gamma, problem.tau
     M, y = instance.M, instance.y
     n = instance.n
     ref = instance.x_true if x_ref is None else np.asarray(x_ref, dtype=float)
     if ref.shape != (n,):
         raise DimensionError(f"x_ref has shape {ref.shape}, expected ({n},)")
-    G = M.T @ M
-    lam_max = power_iteration(G, rtol=1e-10, max_iters=10000).value
-    if lam_max <= 0.0:
-        raise DegenerateOperator("measurement operator is zero; no step size exists")
-    gamma = 1.0 / lam_max
-    tau = reg_weight * gamma
 
     x = np.zeros(n)
     z = x.copy()
@@ -299,33 +293,24 @@ def jacobi_map(P, q) -> Tuple[FixedPointMap, np.ndarray]:
     the exact-spectrum certificate (D^{-1} P is diagonally scaled
     symmetric).
     """
-    P = np.asarray(P, dtype=float)
+    P = _check_square(P, "P")
     q = np.asarray(q, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise DimensionError(f"P must be square, got shape {P.shape}")
     n = P.shape[0]
     if q.shape != (n,):
         raise DimensionError(f"q has shape {q.shape}, expected ({n},)")
-    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(q))):
-        raise NonFiniteValue("P and q must be finite")
+    if not np.all(np.isfinite(q)):
+        raise NonFiniteValue("q must be finite")
     d = np.diag(P).copy()
     if np.any(d == 0.0):
         raise SingularDiagonal("P has zeros on the diagonal; the splitting is undefined")
     dinv = 1.0 / d
     R = P - np.diag(d)
-    J = -dinv[:, None] * R
-
-    spectrum = None
-    if np.all(d > 0.0) and _rel_asymmetry(P) <= _SYM_TOL:
-
-        def spectrum(x):
-            return 1.0 - real_spectrum_via_similarity(P, dinv)
-
+    jac, spectrum = _factored_jacobian(P, lambda x: dinv, shift=1.0, scale=-1.0)
     fpmap = FixedPointMap(
         dim=n,
         eval=lambda x: dinv * (q - R @ x),
-        jacobian=lambda x: J.copy(),
-        jacobian_spectrum=spectrum,
+        jacobian=jac,
+        jacobian_spectrum=spectrum if np.all(d > 0.0) else None,
         name="jacobi",
     )
     return fpmap, dinv[:, None] * P
@@ -340,22 +325,18 @@ class JacobiInstance:
     x0: np.ndarray
 
 
-def gen_jacobi_instance(
-    n: int, seed: int, std: Optional[float] = None, trial: int = 0
-) -> JacobiInstance:
+def gen_jacobi_instance(n: int, seed: int, trial: int = 0) -> JacobiInstance:
     """Random symmetric positive definite system P = I + M^T M.
 
-    The default entry scale 0.03 * sqrt(512 / n) keeps the eigenvalue
+    The entry scale 0.03 * sqrt(512 / n) of M keeps the eigenvalue
     range of D^{-1} P roughly size independent, near (0.68, 1.92). The
     right-hand side is zero, so the solution is the origin and the error
     of an iterate is just its norm; the start is a standard normal draw.
     """
     if n < 1:
         raise InvalidInput(f"need n >= 1, got {n}")
-    if std is None:
-        std = 0.03 * math.sqrt(512.0 / n)
     rng = _trial_rng(seed, trial)
-    M = rng.standard_normal((n, n)) * std
+    M = rng.standard_normal((n, n)) * (0.03 * math.sqrt(512.0 / n))
     P = np.eye(n) + M.T @ M
     x0 = rng.standard_normal(n)
     return JacobiInstance(P=P, q=np.zeros(n), x0=x0)
@@ -393,24 +374,10 @@ def tanh_affine_map(A) -> FixedPointMap:
     Symmetric A gets the exact-spectrum certificate: the Jacobian is
     diag(sech^2(A x)) A with nonnegative scaling.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"A must be square, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise NonFiniteValue("A must be finite")
-    n = A.shape[0]
-
-    def jac(x):
-        return (1.0 / np.cosh(A @ x) ** 2)[:, None] * A
-
-    spectrum = None
-    if _rel_asymmetry(A) <= _SYM_TOL:
-
-        def spectrum(x):
-            return real_spectrum_via_similarity(A, 1.0 / np.cosh(A @ x) ** 2)
-
+    A = _check_square(A, "A")
+    jac, spectrum = _factored_jacobian(A, lambda x: 1.0 / np.cosh(A @ x) ** 2)
     return FixedPointMap(
-        dim=n,
+        dim=A.shape[0],
         eval=lambda x: np.tanh(A @ x),
         jacobian=jac,
         jacobian_spectrum=spectrum,
@@ -522,25 +489,21 @@ def richardson_map(forward: FixedPointMap, y, relax: float) -> FixedPointMap:
 
 
 @lru_cache(maxsize=8)
-def blur_matrix(
-    height: int, width: int, size: int = 7, center: float = 1.5, off: float = 0.1
-) -> np.ndarray:
+def blur_matrix(height: int, width: int) -> np.ndarray:
     """Dense linear blur operator on flattened height x width images.
 
-    Each output pixel is `center` times its own value plus `off` times
-    every neighbor in a size x size window, with zero padding at the
-    borders. The kernel is symmetric under negation, so the matrix is
-    exactly symmetric. Cached per shape; treat the result as read-only
-    (it is returned write-protected).
+    Each output pixel is 1.5 times its own value plus 0.1 times every
+    neighbor in a 7 x 7 window, with zero padding at the borders. The
+    kernel is symmetric under negation, so the matrix is exactly
+    symmetric. Cached per shape; treat the result as read-only (it is
+    returned write-protected).
     """
     if height < 1 or width < 1:
         raise InvalidInput(f"need height, width >= 1, got {height}, {width}")
-    if size < 1 or size % 2 == 0:
-        raise InvalidInput(f"kernel size must be odd and >= 1, got {size}")
     n = height * width
-    half = size // 2
-    K = np.full((size, size), float(off))
-    K[half, half] = float(center)
+    half = 3
+    K = np.full((2 * half + 1, 2 * half + 1), 0.1)
+    K[half, half] = 1.5
     C = np.zeros((n, n))
     idx = np.arange(n).reshape(height, width)
     for di in range(-half, half + 1):
@@ -555,46 +518,33 @@ def blur_matrix(
     return C
 
 
-def blur_map(
-    height: int, width: int, size: int = 7, center: float = 1.5, off: float = 0.1
-) -> FixedPointMap:
+@lru_cache(maxsize=8)
+def blur_map(height: int, width: int) -> FixedPointMap:
     """Saturating blur g(x) = sigmoid(C x) on flattened images.
 
     The Jacobian diag(s (1 - s)) C has strictly positive scaling over the
     symmetric blur matrix, so the spectrum certificate always applies.
+    Cached per shape like blur_matrix, so the symmetry check of C runs
+    once per shape, not once per deblurred image.
     """
-    C = blur_matrix(height, width, size=size, center=center, off=off)
-    n = C.shape[0]
+    C = blur_matrix(height, width)
 
     def step(x):
         return sigmoid(C @ x)
 
-    def jac(x):
+    def slope(x):
         s = sigmoid(C @ x)
-        return (s * (1.0 - s))[:, None] * C
+        return s * (1.0 - s)
 
-    def spectrum(x):
-        s = sigmoid(C @ x)
-        return real_spectrum_via_similarity(C, s * (1.0 - s))
-
+    jac, spectrum = _factored_jacobian(C, slope)
     return FixedPointMap(
-        dim=n, eval=step, jacobian=jac, jacobian_spectrum=spectrum, name="sigmoid-blur"
+        dim=C.shape[0], eval=step, jacobian=jac, jacobian_spectrum=spectrum, name="sigmoid-blur"
     )
 
 
-def deblur_map(
-    y,
-    height: int,
-    width: int,
-    relax: float = 0.8,
-    size: int = 7,
-    center: float = 1.5,
-    off: float = 0.1,
-) -> FixedPointMap:
+def deblur_map(y, height: int, width: int, relax: float = 0.8) -> FixedPointMap:
     """Residual deblurring iteration for observations y = sigmoid(C x)."""
-    return richardson_map(
-        blur_map(height, width, size=size, center=center, off=off), y, relax
-    )
+    return richardson_map(blur_map(height, width), y, relax)
 
 
 def gen_synthetic_image(height: int, width: int, seed: int, trial: int = 0) -> np.ndarray:

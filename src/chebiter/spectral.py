@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -109,6 +109,21 @@ def _check_bound_range(rng: EigenRange) -> None:
         )
 
 
+def _period_exponent(rng: EigenRange, period: int) -> float:
+    """t = T * acosh((b + a)/(b - a)), the exponent of every bound below.
+
+    Checks T >= 1 and a > 0. A zero-width range gives t = inf, which
+    makes each bound exactly 0.
+    """
+    T = int(period)
+    if T < 1:
+        raise InvalidInput(f"period must be >= 1, got {period}")
+    _check_bound_range(rng)
+    if rng.a == rng.b:
+        return math.inf
+    return T * math.acosh((rng.b + rng.a) / (rng.b - rng.a))
+
+
 def period_contraction_bound(rng: EigenRange, period: int) -> float:
     """Max of |period polynomial| over [a, b] for the Chebyshev schedule.
 
@@ -117,14 +132,7 @@ def period_contraction_bound(rng: EigenRange, period: int) -> float:
     instead of overflowing cosh. A zero-width range returns 0: one period
     of factors annihilates a single-point spectrum.
     """
-    T = int(period)
-    if T < 1:
-        raise InvalidInput(f"period must be >= 1, got {period}")
-    _check_bound_range(rng)
-    if rng.a == rng.b:
-        return 0.0
-    u = (rng.b + rng.a) / (rng.b - rng.a)
-    t = T * math.acosh(u)
+    t = _period_exponent(rng, period)
     return 2.0 * math.exp(-t) / (1.0 + math.exp(-2.0 * t))
 
 
@@ -135,16 +143,9 @@ def per_step_rate(rng: EigenRange, period: int) -> float:
     result decreases toward per_step_rate_limit as T grows but never
     reaches it.
     """
-    T = int(period)
-    if T < 1:
-        raise InvalidInput(f"period must be >= 1, got {period}")
-    _check_bound_range(rng)
-    if rng.a == rng.b:
-        return 0.0
-    u = (rng.b + rng.a) / (rng.b - rng.a)
-    t = T * math.acosh(u)
+    t = _period_exponent(rng, period)
     log_bound = math.log(2.0) - t - math.log1p(math.exp(-2.0 * t))
-    return math.exp(log_bound / T)
+    return math.exp(log_bound / int(period))
 
 
 def per_step_rate_limit(rng: EigenRange) -> float:
@@ -153,11 +154,7 @@ def per_step_rate_limit(rng: EigenRange) -> float:
     For (0.1, 0.9) this is exactly 1/2; the constant best factor only
     reaches (b - a)/(b + a), which is worse whenever a < b.
     """
-    _check_bound_range(rng)
-    if rng.a == rng.b:
-        return 0.0
-    u = (rng.b + rng.a) / (rng.b - rng.a)
-    return math.exp(-math.acosh(u))
+    return math.exp(-_period_exponent(rng, 1))
 
 
 @dataclass(frozen=True)
@@ -206,19 +203,16 @@ def period_spectral_radius(eigenvalues, schedule: InertialSchedule) -> float:
     return float(np.max(np.abs(period_polynomial(lam, schedule))))
 
 
-def jacobian_fd(
-    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: Optional[float] = None
-) -> np.ndarray:
+def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Dense Jacobian of f at x by central differences.
 
-    The default step eps^(1/3) * (1 + |x|_inf) balances truncation and
-    rounding error for the second-order central formula.
+    The step eps^(1/3) * (1 + |x|_inf) balances truncation and rounding
+    error for the second-order central formula.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DimensionError(f"x must be a vector, got shape {x.shape}")
-    if h is None:
-        h = float(np.finfo(float).eps) ** (1.0 / 3.0) * (1.0 + float(np.max(np.abs(x))))
+    h = float(np.finfo(float).eps) ** (1.0 / 3.0) * (1.0 + float(np.max(np.abs(x))))
     n = x.size
     cols = []
     for j in range(n):
@@ -245,25 +239,33 @@ def _check_square(S, what: str) -> np.ndarray:
     return S
 
 
-def symmetric_eigenvalues(S, asym_tol: float = _REL_ASYM_TOL) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending.
-
-    Rejects matrices whose relative asymmetry |S - S^T|_F / |S|_F exceeds
-    asym_tol and sizes beyond MAX_DENSE_DIM; asymmetry within the
-    tolerance is treated as roundoff and symmetrized away.
-    """
-    S = _check_square(S, "matrix")
+def _check_symmetric(S, what: str) -> np.ndarray:
+    """A finite square matrix within the dense size cap whose relative
+    asymmetry |S - S^T|_F / |S|_F is at most _REL_ASYM_TOL."""
+    S = _check_square(S, what)
     n = S.shape[0]
     if n > MAX_DENSE_DIM:
         raise InvalidInput(f"dense solver limited to n <= {MAX_DENSE_DIM}, got n = {n}")
-    if _rel_asymmetry(S) > asym_tol:
+    asym = _rel_asymmetry(S)
+    if asym > _REL_ASYM_TOL:
         raise NotSymmetric(
-            f"matrix has relative asymmetry {_rel_asymmetry(S):.3e} > {asym_tol:.1e}"
+            f"{what} has relative asymmetry {asym:.3e} > {_REL_ASYM_TOL:.1e}"
         )
+    return S
+
+
+def symmetric_eigenvalues(S) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending.
+
+    Rejects matrices whose relative asymmetry |S - S^T|_F / |S|_F exceeds
+    1e-10 and sizes beyond MAX_DENSE_DIM; asymmetry within the tolerance
+    is treated as roundoff and symmetrized away.
+    """
+    S = _check_symmetric(S, "matrix")
     return np.linalg.eigvalsh((S + S.T) / 2.0)
 
 
-def real_spectrum_via_similarity(A, q, asym_tol: float = _REL_ASYM_TOL) -> np.ndarray:
+def real_spectrum_via_similarity(A, q) -> np.ndarray:
     """Spectrum of diag(q) @ A for symmetric A and nonnegative q, ascending.
 
     Although diag(q) A is not symmetric, its spectrum is real: rows where
@@ -273,14 +275,8 @@ def real_spectrum_via_similarity(A, q, asym_tol: float = _REL_ASYM_TOL) -> np.nd
     the symmetric matrix D^(1/2) A' D^(1/2) via D^(1/2). The returned
     values are the eigenvalues of that symmetric matrix plus the zeros.
     """
-    A = _check_square(A, "A")
+    A = _check_symmetric(A, "A")
     n = A.shape[0]
-    if n > MAX_DENSE_DIM:
-        raise InvalidInput(f"dense solver limited to n <= {MAX_DENSE_DIM}, got n = {n}")
-    if _rel_asymmetry(A) > asym_tol:
-        raise NotSymmetric(
-            f"A has relative asymmetry {_rel_asymmetry(A):.3e} > {asym_tol:.1e}"
-        )
     q = np.asarray(q, dtype=float)
     if q.shape != (n,):
         raise DimensionError(f"q has shape {q.shape}, expected ({n},)")
@@ -343,9 +339,7 @@ def power_iteration(
     return PowerResult(value=lam, residual=residual, iters=iters)
 
 
-def _verify_fixed_point(
-    fpmap: FixedPointMap, x_star: np.ndarray, fp_tol: float = 1e-6
-) -> np.ndarray:
+def _verify_fixed_point(fpmap: FixedPointMap, x_star: np.ndarray, fp_tol: float) -> np.ndarray:
     x = np.asarray(x_star, dtype=float)
     if x.shape != (fpmap.dim,):
         raise DimensionError(f"x_star has shape {x.shape}, expected ({fpmap.dim},)")
@@ -364,9 +358,6 @@ def estimate_eigen_range(
     fpmap: FixedPointMap,
     x_star: np.ndarray,
     method: str = "dense",
-    asym_tol: float = _REL_ASYM_TOL,
-    power_rtol: float = 1e-10,
-    power_max_iters: int = 10000,
     fp_tol: float = 1e-6,
 ) -> EigenRange:
     """Measure the eigenvalue range of B = I - J at a fixed point.
@@ -380,14 +371,16 @@ def estimate_eigen_range(
       is trusted directly, B eigenvalues being 1 minus that spectrum;
     * otherwise the Jacobian comes from the map's analytic jacobian or
       central differences, and "dense" takes exact symmetric eigenvalues.
-      A Jacobian that is not symmetric to asym_tol gets symmetrized after
+      A Jacobian that is not symmetric to 1e-10 gets symmetrized after
       a SpectrumNotCertifiedReal warning; the symmetrized range is wrong
       for genuinely asymmetric Jacobians, so such maps should provide the
       spectrum hook instead;
     * "power" estimates both endpoints by power iteration with a shifted
       second pass, recording the larger of the two defects as residual.
     """
-    x = _verify_fixed_point(fpmap, x_star, fp_tol=fp_tol)
+    if method not in ("dense", "power"):
+        raise InvalidInput(f"unknown method {method!r}, expected 'dense' or 'power'")
+    x = _verify_fixed_point(fpmap, x_star, fp_tol)
 
     if fpmap.jacobian_spectrum is not None:
         eig_j = np.asarray(fpmap.jacobian_spectrum(x), dtype=float)
@@ -411,27 +404,17 @@ def estimate_eigen_range(
     B = np.eye(fpmap.dim) - J
 
     if method == "dense":
-        if _rel_asymmetry(B) > asym_tol:
+        if _rel_asymmetry(B) > _REL_ASYM_TOL:
             warnings.warn(
                 "Jacobian is not symmetric and the map does not certify a real "
                 "spectrum; estimating from the symmetrized matrix",
                 SpectrumNotCertifiedReal,
                 stacklevel=2,
             )
-        lam = symmetric_eigenvalues((B + B.T) / 2.0, asym_tol=math.inf)
+        lam = symmetric_eigenvalues((B + B.T) / 2.0)
         return EigenRange(float(lam[0]), float(lam[-1]), unchecked=True)
 
-    if method == "power":
-        first = power_iteration(B, rtol=power_rtol, max_iters=power_max_iters)
-        shifted = power_iteration(
-            first.value * np.eye(fpmap.dim) - B,
-            rtol=power_rtol,
-            max_iters=power_max_iters,
-        )
-        other = first.value - shifted.value
-        lo, hi = sorted((first.value, other))
-        return EigenRange(
-            lo, hi, unchecked=True, residual=max(first.residual, shifted.residual)
-        )
-
-    raise InvalidInput(f"unknown method {method!r}, expected 'dense' or 'power'")
+    first = power_iteration(B)
+    shifted = power_iteration(first.value * np.eye(fpmap.dim) - B)
+    lo, hi = sorted((first.value, first.value - shifted.value))
+    return EigenRange(lo, hi, unchecked=True, residual=max(first.residual, shifted.residual))

@@ -4,12 +4,16 @@ Driver tests check the study results against the frozen reference
 numbers from the module tests; CLI tests cover settings precedence,
 exit codes, and byte-identical reruns.
 """
+import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
 import chebiter
+import chebiter.problems
 from chebiter import cli
 from chebiter.cli import EX_CONFIG, EX_IOERR, EX_OK, EX_USAGE, main
 from chebiter.errors import InvalidInput
@@ -93,6 +97,14 @@ class TestToyDrivers:
         assert list(by_solver(res)) == ["plain", "sor", "cheb4", "cheb8"]
         assert res.headline["cheb_final"] == by_solver(res)["cheb8"]["final_error"]
 
+    @pytest.mark.parametrize(
+        "driver", [run_jacobi, run_toy_power, run_tanh_solve, run_tanh_gram]
+    )
+    def test_headline_is_finite_at_defaults(self, driver):
+        # a printed headline of inf or nan on working code compares nothing
+        headline = driver(None).headline
+        assert headline and all(math.isfinite(v) for v in headline.values()), headline
+
     def test_tanh_gram_study(self, tmp_path):
         res = run_tanh_gram(str(tmp_path))
         rows = by_solver(res)
@@ -121,6 +133,19 @@ class TestIstaDriver:
         records = read_trace_csv(str(tmp_path / "ista_traces.csv"))
         assert [r.solver for r in records[:3]] == ["plain", "cheb8", "fista"]
         assert len(records) == 9
+
+    def test_one_step_size_per_seed(self, monkeypatch):
+        # the smoothed iteration and the FISTA baseline share build_ista's step size
+        calls = []
+        power_iteration = chebiter.problems.power_iteration
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return power_iteration(*args, **kwargs)
+
+        monkeypatch.setattr(chebiter.problems, "power_iteration", counted)
+        run_ista(None, seeds=2, n=32, m=16, iters=200)
+        assert len(calls) == 2
 
 
 class TestDeblurDriver:
@@ -204,6 +229,19 @@ class TestCliBehavior:
         assert main(["bounds", "--a", "0.1", "--b", "0.9", "--periods", "2,4"]) == EX_OK
         out = capsys.readouterr().out
         assert "0.470588" in out and "0.124514" in out
+
+    def test_runs_as_python_module(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(chebiter.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "chebiter.cli", "bounds"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == EX_OK, proc.stderr
+        assert any(line.startswith("bounds: range") for line in proc.stdout.splitlines())
 
     def test_bounds_writes_csv(self, tmp_path, capsys):
         assert main(["bounds", "--out", str(tmp_path)]) == EX_OK

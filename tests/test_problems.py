@@ -1,4 +1,8 @@
 """Shrinkage operators, problem constructions, and instance generators."""
+import dataclasses
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from chebiter import (
     DomainError,
     InvalidInput,
     NonFiniteValue,
+    ProximalProblem,
     SingularDiagonal,
     SparseRecoveryInstance,
     StopCriteria,
@@ -81,48 +86,28 @@ class TestShrinkage:
         with pytest.raises(InvalidInput):
             softplus(1.0, 0.0)
 
-    def test_default_variant_folds_negative_branch(self):
-        tau, beta = 0.5, 100.0
-        # tiny but positive at the origin: 2 softplus(-tau)
-        at0 = float(smooth_soft_shrink(0.0, tau, beta))
-        assert at0 == pytest.approx(3.857e-24, rel=1e-3)
-        assert at0 > 0.0
-        # tracks soft shrinkage above -tau
-        x = np.linspace(-tau, 4.0, 4001)
-        dev = np.abs(smooth_soft_shrink(x, tau, beta) - soft_shrink(x, tau))
-        assert np.max(dev) <= ENVELOPE_100 + 1e-15
-        # but folds upward below, deviating by about 2(|x| - tau)
-        gap = float(smooth_soft_shrink(-2.0, tau, beta) - soft_shrink(-2.0, tau))
-        assert gap == pytest.approx(2.0 * (2.0 - tau), abs=1e-3)
-        assert np.all(smooth_soft_shrink(np.linspace(-50, 50, 999), tau, beta) >= 0.0)
-
     def test_odd_variant_is_odd_with_global_envelope(self):
         tau, beta = 0.5, 100.0
         x = np.linspace(-50.0, 50.0, 20001)
-        f = smooth_soft_shrink(x, tau, beta, odd=True)
-        assert np.max(np.abs(f + smooth_soft_shrink(-x, tau, beta, odd=True))) == 0.0
-        assert float(smooth_soft_shrink(0.0, tau, beta, odd=True)) == 0.0
+        f = smooth_soft_shrink(x, tau, beta)
+        assert np.max(np.abs(f + smooth_soft_shrink(-x, tau, beta))) == 0.0
+        assert float(smooth_soft_shrink(0.0, tau, beta)) == 0.0
         dev = np.abs(f - soft_shrink(x, tau))
         assert np.max(dev) <= ENVELOPE_100 + 1e-15
 
     def test_gradient_ranges(self):
         tau, beta = 0.3, 100.0
         x = np.linspace(-20, 20, 5001)
-        g_odd = smooth_soft_shrink_grad(x, tau, beta, odd=True)
+        g_odd = smooth_soft_shrink_grad(x, tau, beta)
         assert np.all(g_odd > 0.0) and np.all(g_odd <= 1.0)
-        g_def = smooth_soft_shrink_grad(x, tau, beta)
-        assert np.all(g_def >= -1.0) and np.all(g_def <= 1.0)
-        assert np.min(g_def) < -0.9  # the fold really does produce negative slope
 
-    @pytest.mark.parametrize("odd", [False, True])
-    def test_gradient_matches_finite_differences(self, odd):
+    def test_gradient_matches_finite_differences(self):
         tau, beta, h = 0.4, 100.0, 1e-6
         x = np.linspace(-2.0, 2.0, 401)
         fd = (
-            smooth_soft_shrink(x + h, tau, beta, odd=odd)
-            - smooth_soft_shrink(x - h, tau, beta, odd=odd)
+            smooth_soft_shrink(x + h, tau, beta) - smooth_soft_shrink(x - h, tau, beta)
         ) / (2 * h)
-        g = smooth_soft_shrink_grad(x, tau, beta, odd=odd)
+        g = smooth_soft_shrink_grad(x, tau, beta)
         assert np.max(np.abs(fd - g)) <= 1e-6
 
 
@@ -181,8 +166,7 @@ class TestBuildIsta:
 
     def test_spectrum_hook_only_for_odd_variant(self):
         inst = gen_sparse_instance(32, 16, 0.2, 0.05, seed=2)
-        assert build_ista(inst, odd=True).fpmap.jacobian_spectrum is not None
-        assert build_ista(inst, odd=False).fpmap.jacobian_spectrum is None
+        assert build_ista(inst).fpmap.jacobian_spectrum is not None
 
     def test_spectrum_hook_matches_general_eigensolver(self):
         inst = gen_sparse_instance(24, 12, 0.2, 0.05, seed=5)
@@ -221,7 +205,7 @@ class TestFista:
 
     def test_error_curve_shape_and_progress(self):
         inst = gen_sparse_instance(128, 64, 0.1, 0.1, seed=4)
-        res = fista_run(inst, 100)
+        res = fista_run(build_ista(inst), 100)
         assert len(res.errors) == 101
         assert res.errors[-1] < 0.25 * res.errors[0]
         assert res.steps == 100
@@ -229,9 +213,9 @@ class TestFista:
     def test_validation(self):
         inst = gen_sparse_instance(16, 8, 0.1, 0.1, seed=0)
         with pytest.raises(InvalidInput):
-            fista_run(inst, 0)
+            fista_run(build_ista(inst), 0)
         with pytest.raises(DimensionError):
-            fista_run(inst, 5, x_ref=np.zeros(3))
+            fista_run(build_ista(inst), 5, x_ref=np.zeros(3))
 
 
 class TestJacobi:
@@ -495,3 +479,71 @@ class TestSyntheticImages:
     def test_rejects_tiny_images(self):
         with pytest.raises(InvalidInput):
             gen_synthetic_image(8, 28, seed=0)
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _plain_fixed_point(fpmap):
+    x0 = np.full(fpmap.dim, 0.5)
+    return run_inertial(fpmap, plain_schedule(), x0, StopCriteria(max_iters=800)).x_final
+
+
+class TestTracedMaps:
+    def test_traced_maps_keep_their_range(self):
+        # The benchmark tracer rebuilds each map a builder returns with
+        # dataclasses.replace, wrapping eval and the spectrum hook; the range
+        # must come out the same and through the wrapped hook.
+        img = gen_synthetic_image(12, 12, seed=3)
+        y12 = blur_map(12, 12)(img.ravel())
+        cases = {  # builder -> (arguments, fixed point or None to iterate to one)
+            "build_ista": ((gen_sparse_instance(32, 16, 0.1, 0.05, seed=11),), None),
+            "blur_map": ((12, 12), None),
+            "deblur_map": ((y12, 12, 12), img.ravel()),
+            "jacobi_map": ((gen_jacobi_instance(16, 4).P, np.zeros(16)), np.zeros(16)),
+            "power_map": ((), np.full(2, POWER_FP)),
+            "tanh_affine_map": ((gen_gram_matrix(16, 0.1, 2),), np.zeros(16)),
+            "tanh_equation_map": ((np.array([0.1, 0.6]),), np.array(TANH_SOLVE_X)),
+        }
+        calls = []
+
+        def wrap(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        hooked = []
+        for module, attr, _, kind in _load_tracing().WRAPS:
+            if kind != "builder":
+                continue
+            args, x_star = cases[attr]
+            built = getattr(module, attr)(*args)
+            fpmap = built.fpmap if isinstance(built, ProximalProblem) else built
+            fpmap = fpmap[0] if isinstance(fpmap, tuple) else fpmap
+            hook = fpmap.jacobian_spectrum
+            if hook is None:
+                continue
+            traced = dataclasses.replace(fpmap, eval=wrap(fpmap.eval), jacobian_spectrum=wrap(hook))
+            if isinstance(built, ProximalProblem):
+                problem = dataclasses.replace(built, fpmap=traced)
+                traced = problem.fpmap
+                assert np.array_equal(fista_run(problem, 5).errors, fista_run(built, 5).errors)
+            x = _plain_fixed_point(fpmap) if x_star is None else x_star
+            assert estimate_eigen_range(traced, x) == estimate_eigen_range(fpmap, x), attr
+            assert hook in calls, attr
+            hooked.append(attr)
+        assert sorted(hooked) == [
+            "blur_map",
+            "build_ista",
+            "deblur_map",
+            "jacobi_map",
+            "tanh_affine_map",
+            "tanh_equation_map",
+        ]

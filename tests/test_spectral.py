@@ -435,8 +435,10 @@ class TestEstimateEigenRange:
 
     def test_unknown_method(self):
         m = affine_fp_map(np.diag([0.5]), np.zeros(1))
-        with pytest.raises(InvalidInput):
-            estimate_eigen_range(m, np.zeros(1), method="lanczos")
+        hooked = affine_fp_map(np.diag([0.5]), np.zeros(1), jacobian_spectrum=lambda x: [0.5])
+        for fpmap in (m, hooked):
+            with pytest.raises(InvalidInput):
+                estimate_eigen_range(fpmap, np.zeros(1), method="lanczos")
 
     def test_range_clipping_workflow(self):
         # a measured range may poke outside (0, 2); clipping makes it usable
