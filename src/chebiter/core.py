@@ -226,11 +226,15 @@ class StopCriteria:
     max_iters the way the reference experiments do. divergence_threshold
     aborts a run whose iterate norm explodes; it must be finite so that
     every accepted iterate, and hence every recorded error, is finite.
+    error_target, when set, stops after the first accepted step whose
+    error |x_{k+1} - x_ref| is at most the target; it needs a reference
+    point, since without one the errors are only known after the run.
     """
 
     max_iters: int
     step_tol: float = 0.0
     divergence_threshold: float = 1e12
+    error_target: Optional[float] = None
 
     def __post_init__(self) -> None:
         if int(self.max_iters) < 1:
@@ -242,10 +246,15 @@ class StopCriteria:
                 "divergence_threshold must be positive and finite, "
                 f"got {self.divergence_threshold}"
             )
+        if self.error_target is not None and not (0.0 <= self.error_target < math.inf):
+            raise InvalidInput(
+                f"error_target must be finite and >= 0, got {self.error_target}"
+            )
 
 
 class StopReason(str, Enum):
     TOLERANCE = "tolerance"
+    TARGET = "target"
     MAX_ITERS = "max_iters"
     DIVERGENCE = "divergence"
 
@@ -283,6 +292,15 @@ def _as_vector(x, dim: int, what: str) -> np.ndarray:
     return v
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real 1-D float array.
+
+    Bit for bit what np.linalg.norm computes for such an array (the square
+    root of v.v), without the cost of its generic wrapper on every step.
+    """
+    return math.sqrt(v.dot(v))
+
+
 def inertial_step(fpmap: FixedPointMap, x: np.ndarray, omega: float) -> np.ndarray:
     """One relaxed update (1 - omega) x + omega f(x).
 
@@ -300,7 +318,7 @@ def inertial_step(fpmap: FixedPointMap, x: np.ndarray, omega: float) -> np.ndarr
     else:
         fx = _as_vector(fpmap.eval(x), fpmap.dim, "map output")
         y = (1.0 - omega) * x + omega * fx
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NonFiniteValue("inertial step produced non-finite components")
     return y
 
@@ -318,9 +336,9 @@ def run_inertial(
     Errors are measured against x_ref when provided. Without a reference
     the final iterate stands in for x*, which biases the last few entries
     of the error curve low; callers that care should pass the true fixed
-    point. Partial periods run in natural factor order; the per-period
-    contraction guarantee of the Chebyshev schedule only applies at
-    multiples of the period.
+    point, and must pass it to use stop.error_target. Partial periods run
+    in natural factor order; the per-period contraction guarantee of the
+    Chebyshev schedule only applies at multiples of the period.
 
     A step whose result is non-finite or whose norm exceeds the divergence
     threshold is rejected: the trace ends at the last accepted iterate, so
@@ -328,49 +346,64 @@ def run_inertial(
     same trace, bit for bit.
     """
     x = _as_vector(x0, fpmap.dim, "x0").copy()
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteValue("x0 has non-finite components")
     ref = None if x_ref is None else _as_vector(x_ref, fpmap.dim, "x_ref")
-    if ref is not None and not np.all(np.isfinite(ref)):
+    if ref is not None and not np.isfinite(ref).all():
         raise NonFiniteValue("x_ref has non-finite components")
+    target = stop.error_target
+    if target is not None and ref is None:
+        raise InvalidInput(
+            "error_target needs x_ref: without it the errors are known only after the run"
+        )
     keep_iterates = store_iterates or ref is None
 
     iterates = [x.copy()] if keep_iterates else None
-    errors = [] if ref is None else [float(np.linalg.norm(x - ref))]
+    errors = [] if ref is None else [_norm(x - ref)]
     factors_used = []
     stop_reason = StopReason.MAX_ITERS
+    factors, period = schedule.factors, schedule.period
+    threshold, step_tol = stop.divergence_threshold, stop.step_tol
 
-    for k in range(stop.max_iters):
-        w = schedule.factor_at(k)
-        try:
-            x_new = inertial_step(fpmap, x, w)
-        except NonFiniteValue:
-            stop_reason = StopReason.DIVERGENCE
-            break
-        if float(np.linalg.norm(x_new)) > stop.divergence_threshold:
-            stop_reason = StopReason.DIVERGENCE
-            break
-        factors_used.append(w)
-        if ref is not None:
-            errors.append(float(np.linalg.norm(x_new - ref)))
-        if keep_iterates:
-            iterates.append(x_new.copy())
-        step_norm = float(np.linalg.norm(x_new - x))
-        x = x_new
-        if step_norm <= stop.step_tol:
-            stop_reason = StopReason.TOLERANCE
-            break
+    # Overflow in a step, or in the squared norm of a finite iterate, ends
+    # as a non-finite step or an infinite norm, and both are handled as
+    # divergence below, so numpy need not warn about it. One errstate for
+    # the whole loop, since entering one per step costs microseconds.
+    with np.errstate(over="ignore"):
+        for k in range(stop.max_iters):
+            w = factors[k % period]
+            try:
+                x_new = inertial_step(fpmap, x, w)
+            except NonFiniteValue:
+                stop_reason = StopReason.DIVERGENCE
+                break
+            if not _norm(x_new) <= threshold:
+                stop_reason = StopReason.DIVERGENCE
+                break
+            factors_used.append(w)
+            if ref is not None:
+                errors.append(_norm(x_new - ref))
+            if keep_iterates:
+                iterates.append(x_new.copy())
+            step_norm = _norm(x_new - x)
+            x = x_new
+            if step_norm <= step_tol:
+                stop_reason = StopReason.TOLERANCE
+                break
+            if target is not None and errors[-1] <= target:
+                stop_reason = StopReason.TARGET
+                break
 
     steps = len(factors_used)
     if ref is None:
         ref = iterates[-1]
-        errors = [float(np.linalg.norm(it - ref)) for it in iterates]
+        errors = [_norm(it - ref) for it in iterates]
 
     return IterationTrace(
         errors=np.asarray(errors, dtype=float),
         factors_used=np.asarray(factors_used, dtype=float),
         steps=steps,
-        converged=stop_reason is StopReason.TOLERANCE,
+        converged=stop_reason in (StopReason.TOLERANCE, StopReason.TARGET),
         stop_reason=stop_reason,
         x_final=x,
         iterates=iterates if store_iterates else None,

@@ -29,8 +29,8 @@ from .spectral import (
     _REL_ASYM_TOL,
     _check_square,
     _rel_asymmetry,
+    _similarity_spectrum,
     power_iteration,
-    real_spectrum_via_similarity,
 )
 
 __all__ = [
@@ -137,7 +137,7 @@ def _factored_jacobian(
     if _rel_asymmetry(A) <= _REL_ASYM_TOL:
 
         def spectrum(x):
-            return shift + scale * real_spectrum_via_similarity(A, q(x))
+            return shift + scale * _similarity_spectrum(A, q(x))
 
     return jacobian, spectrum
 

@@ -239,13 +239,16 @@ def _check_square(S, what: str) -> np.ndarray:
     return S
 
 
+def _check_dense_size(n: int) -> None:
+    if n > MAX_DENSE_DIM:
+        raise InvalidInput(f"dense solver limited to n <= {MAX_DENSE_DIM}, got n = {n}")
+
+
 def _check_symmetric(S, what: str) -> np.ndarray:
     """A finite square matrix within the dense size cap whose relative
     asymmetry |S - S^T|_F / |S|_F is at most _REL_ASYM_TOL."""
     S = _check_square(S, what)
-    n = S.shape[0]
-    if n > MAX_DENSE_DIM:
-        raise InvalidInput(f"dense solver limited to n <= {MAX_DENSE_DIM}, got n = {n}")
+    _check_dense_size(S.shape[0])
     asym = _rel_asymmetry(S)
     if asym > _REL_ASYM_TOL:
         raise NotSymmetric(
@@ -275,8 +278,15 @@ def real_spectrum_via_similarity(A, q) -> np.ndarray:
     the symmetric matrix D^(1/2) A' D^(1/2) via D^(1/2). The returned
     values are the eigenvalues of that symmetric matrix plus the zeros.
     """
-    A = _check_symmetric(A, "A")
+    return _similarity_spectrum(_check_symmetric(A, "A"), q)
+
+
+def _similarity_spectrum(A: np.ndarray, q) -> np.ndarray:
+    """real_spectrum_via_similarity for an A already known to be a finite
+    square float array with relative asymmetry within _REL_ASYM_TOL, as
+    when a map builder checked it once; q is checked on every call."""
     n = A.shape[0]
+    _check_dense_size(n)
     q = np.asarray(q, dtype=float)
     if q.shape != (n,):
         raise DimensionError(f"q has shape {q.shape}, expected ({n},)")

@@ -299,6 +299,7 @@ class TestRunInertial:
         assert np.linalg.norm(tr.x_final) <= 1e6
         assert tr.errors[-1] == pytest.approx(np.linalg.norm(tr.x_final))
 
+    @pytest.mark.filterwarnings("error")
     def test_divergence_by_overflow_keeps_finite_errors(self):
         def blow_up(x):
             return x * 1e200
@@ -349,6 +350,47 @@ class TestRunInertial:
         assert tr.stop_reason is StopReason.TOLERANCE
         assert tr.steps < 60
 
+    def test_error_target_stops_at_first_hit(self):
+        A = np.diag([0.3, 0.5, 0.7])
+        b = np.array([1.0, -2.0, 0.5])
+        x_star = np.linalg.solve(np.eye(3) - A, b)
+        m = affine_map(A, b)
+        sched = chebyshev_schedule(EigenRange(0.3, 0.7), 4)
+        full = run_inertial(m, sched, np.zeros(3), StopCriteria(max_iters=40), x_ref=x_star)
+        target = float(full.errors[9])
+        hit = int(np.nonzero(full.errors <= target)[0][0])
+        tr = run_inertial(
+            m, sched, np.zeros(3), StopCriteria(max_iters=40, error_target=target), x_ref=x_star
+        )
+        assert tr.stop_reason is StopReason.TARGET
+        assert tr.converged
+        assert tr.steps == hit
+        assert len(tr.errors) == tr.steps + 1
+        assert np.array_equal(tr.errors, full.errors[: hit + 1])
+        cut = run_inertial(m, sched, np.zeros(3), StopCriteria(max_iters=hit), x_ref=x_star)
+        assert np.array_equal(tr.x_final, cut.x_final)
+
+    def test_unreached_error_target_runs_full_budget(self):
+        m = affine_map(np.eye(2) * 0.5, np.zeros(2))
+        tr = run_inertial(
+            m,
+            plain_schedule(),
+            np.ones(2),
+            StopCriteria(max_iters=20, error_target=1e-12),
+            x_ref=np.zeros(2),
+        )
+        assert tr.stop_reason is StopReason.MAX_ITERS
+        assert not tr.converged
+        assert tr.steps == 20
+        assert tr.errors[-1] > 1e-12
+
+    def test_error_target_needs_reference(self):
+        m = affine_map(np.eye(1) * 0.5, np.zeros(1))
+        with pytest.raises(InvalidInput):
+            run_inertial(
+                m, plain_schedule(), np.ones(1), StopCriteria(max_iters=5, error_target=0.1)
+            )
+
     def test_stop_criteria_validation(self):
         with pytest.raises(InvalidInput):
             StopCriteria(max_iters=0)
@@ -358,3 +400,7 @@ class TestRunInertial:
             StopCriteria(max_iters=5, divergence_threshold=0.0)
         with pytest.raises(InvalidInput):
             StopCriteria(max_iters=5, divergence_threshold=math.inf)
+        for bad in (-1e-9, math.nan, math.inf):
+            with pytest.raises(InvalidInput):
+                StopCriteria(max_iters=5, error_target=bad)
+        assert StopCriteria(max_iters=5, error_target=0.0).error_target == 0.0

@@ -13,9 +13,12 @@ import sys
 import pytest
 
 import chebiter
+import chebiter.core
+import chebiter.experiments
 import chebiter.problems
 from chebiter import cli
 from chebiter.cli import EX_CONFIG, EX_IOERR, EX_OK, EX_USAGE, main
+from chebiter.core import FixedPointMap, StopCriteria, plain_schedule, run_inertial
 from chebiter.errors import InvalidInput
 from chebiter.experiments import (
     bounds_rows,
@@ -146,6 +149,26 @@ class TestIstaDriver:
         monkeypatch.setattr(chebiter.problems, "power_iteration", counted)
         run_ista(None, seeds=2, n=32, m=16, iters=200)
         assert len(calls) == 2
+
+    def test_early_stop_changes_no_number(self, monkeypatch):
+        # Unrecorded seeds stop their scheduled run at the target; the
+        # summary and headline must match full-budget runs exactly.
+        steps = []
+
+        def counted(fpmap, schedule, *args, **kwargs):
+            trace = run_inertial(fpmap, schedule, *args, **kwargs)
+            if schedule.period > 1:
+                steps.append(trace.steps)
+            return trace
+
+        monkeypatch.setattr(chebiter.experiments, "run_inertial", counted)
+        stopped = run_ista(None, seeds=4, record_first=0)
+        full = run_ista(None, seeds=4, record_first=4)
+        assert stopped.summary == full.summary
+        assert stopped.headline == full.headline
+        hits = [row["cheb_iters_to_target"] for row in stopped.summary]
+        assert all(hit > 0 for hit in hits)
+        assert steps == hits + [1500] * 4
 
 
 class TestDeblurDriver:
@@ -349,6 +372,27 @@ class TestSurface:
         assert sorted(chebiter.__all__) == sorted(PACKAGE_NAMES)
         for name in PACKAGE_NAMES:
             assert hasattr(chebiter, name), name
+
+    def test_wrapped_step_sees_every_attempt(self, monkeypatch):
+        # A benchmark tracer replaces core.inertial_step to count attempted
+        # steps; run_inertial must call it through that attribute, once per
+        # attempt, rejected ones included.
+        calls = []
+        step = chebiter.core.inertial_step
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(chebiter.core, "inertial_step", counted)
+        grow = FixedPointMap(dim=1, eval=lambda x: 3.0 * x)
+        stop = StopCriteria(max_iters=50, divergence_threshold=1e6)
+        tr = run_inertial(grow, plain_schedule(), [1.0], stop)
+        assert tr.steps == 12
+        assert len(calls) == tr.steps + 1
+        calls.clear()
+        tr = run_inertial(grow, plain_schedule(), [1.0], StopCriteria(max_iters=5))
+        assert len(calls) == tr.steps == 5
 
     def test_wrapped_drivers_get_the_flags(self, monkeypatch, capsys):
         # A benchmark tracer replaces drivers with (*args, **kwargs) wrappers
