@@ -18,6 +18,7 @@ import argparse
 import inspect
 import os
 import sys
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -103,6 +104,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
     parser = _Parser(prog="chebiter", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import EigenRange, FixedPointMap, InertialSchedule
+from .core import EigenRange, FixedPointMap, InertialSchedule, _norm
 from .errors import (
     DimensionError,
     InvalidInput,
@@ -332,17 +332,17 @@ def power_iteration(
     if int(max_iters) < 1:
         raise InvalidInput(f"max_iters must be >= 1, got {max_iters}")
     v = np.linspace(1.0, 2.0, n)
-    v /= np.linalg.norm(v)
+    v /= _norm(v)
     lam = 0.0
     residual = math.inf
     iters = 0
     for iters in range(1, int(max_iters) + 1):
         w = B @ v
-        nw = float(np.linalg.norm(w))
+        nw = _norm(w)
         if nw == 0.0:
             return PowerResult(value=0.0, residual=0.0, iters=iters)
         lam = float(v @ w)
-        residual = float(np.linalg.norm(w - lam * v))
+        residual = _norm(w - lam * v)
         if residual <= rtol * max(1.0, abs(lam)):
             break
         v = w / nw

@@ -219,6 +219,18 @@ class TestInertialStep:
         with pytest.raises(NonFiniteValue):
             inertial_step(m, np.array([1.0]), math.nan)
 
+    @pytest.mark.filterwarnings("error")
+    def test_finiteness_check_raises_no_warning(self):
+        # The check scans the entries: a screen such as isfinite(y.dot(y))
+        # overflows, with a RuntimeWarning, on entries as large as these.
+        big = FixedPointMap(dim=3, eval=lambda x: np.full(3, 1e200))
+        for omega in (1.0, 0.5):
+            assert np.array_equal(inertial_step(big, np.full(3, 1e200), omega), np.full(3, 1e200))
+        inf = FixedPointMap(dim=3, eval=lambda x: np.array([1e200, np.inf, 1.0]))
+        for omega in (1.0, 0.5):
+            with pytest.raises(NonFiniteValue):
+                inertial_step(inf, np.full(3, 1e200), omega)
+
 
 class TestRunInertial:
     def test_all_ones_schedule_matches_plain_iteration_bitwise(self):

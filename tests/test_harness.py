@@ -38,6 +38,18 @@ BOUND_19_T2 = 0.47058823529411765
 BOUND_19_T4 = 0.1245136186770428
 
 
+def run_alone(argv):
+    """Run the CLI on argv in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chebiter.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "chebiter.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def by_solver(result):
     return {row["solver"]: row for row in result.summary}
 
@@ -254,17 +266,26 @@ class TestCliBehavior:
         assert "0.470588" in out and "0.124514" in out
 
     def test_runs_as_python_module(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(chebiter.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "chebiter.cli", "bounds"],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_alone(["bounds"])
         assert proc.returncode == EX_OK, proc.stderr
         assert any(line.startswith("bounds: range") for line in proc.stdout.splitlines())
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_sharing_the_parser_match_fresh_runs(self, capsys):
+        # One parser serves every main() call in a process; no flag, default
+        # or error of one call may show in the next.
+        for argv in (
+            ["jacobi", "--n", "x"],
+            ["bounds"],
+            ["jacobi", "--n", "8"],
+            ["toy", "--map", "power"],
+        ):
+            code = main(argv)
+            got = capsys.readouterr()
+            proc = run_alone(argv)
+            assert (code, got.out, got.err) == (proc.returncode, proc.stdout, proc.stderr)
 
     def test_bounds_writes_csv(self, tmp_path, capsys):
         assert main(["bounds", "--out", str(tmp_path)]) == EX_OK

@@ -30,6 +30,7 @@ from chebiter import (
     jacobian_fd,
     jacobi_map,
     plain_schedule,
+    power_iteration,
     power_map,
     richardson_map,
     run_inertial,
@@ -109,6 +110,127 @@ class TestShrinkage:
         ) / (2 * h)
         g = smooth_soft_shrink_grad(x, tau, beta)
         assert np.max(np.abs(fd - g)) <= 1e-6
+
+
+def softplus_two_pass(x, beta):
+    x = np.asarray(x, dtype=float)
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(beta * x))) / beta
+
+
+def smooth_soft_shrink_two_pass(x, tau, beta):
+    x = np.asarray(x, dtype=float)
+    return softplus_two_pass(x - tau, beta) - softplus_two_pass(-x - tau, beta)
+
+
+def shrink_inputs(tau):
+    """0-d, every length 1-700 and 2-D arrays mixing special values with
+    random ones around the threshold. Magnitudes stop at 1e300, so beta x
+    stays finite for beta <= 100."""
+    tiny = np.finfo(float).tiny
+    special = np.array(
+        [0.0, -0.0, tau, -tau, np.inf, -np.inf, np.nan, 1e300, -1e300,
+         5e-324, -5e-324, tiny / 3, -tiny / 7]
+    )
+    rng = np.random.default_rng(11)
+    yield np.asarray(0.3)
+    for v in special:
+        yield np.asarray(v)
+    for n in range(1, 701):
+        x = rng.normal(scale=rng.choice([0.01, 1.0, 1e3]), size=n)
+        hits = rng.random(n) < 0.2
+        x[hits] = rng.choice(special, size=int(hits.sum()))
+        yield x
+    x = rng.normal(size=(17, 23))
+    x.flat[::5] = np.resize(special, x.flat[::5].shape)
+    yield x
+    yield np.asfortranarray(x)
+    yield x[::2, 1::3]
+
+
+def same_bits(got, want):
+    """Equal bytes once every NaN is the canonical one. The sign of a NaN
+    made by nan + nan depends on the numpy loop the operands reach: the
+    two-pass formula itself can give -nan for a 0-d input and +nan for a
+    length-1 one."""
+    got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+    got[np.isnan(got)] = np.nan
+    want[np.isnan(want)] = np.nan
+    return got.tobytes() == want.tobytes()
+
+
+class TestShrinkageBitIdentity:
+    # The one-pass forms must reproduce the two-pass formulas bit for bit.
+    @pytest.mark.parametrize("tau,beta", [(0.5, 100.0), (0.0, 100.0), (0.03, 7.0)])
+    def test_matches_two_pass_formulas(self, tau, beta):
+        for x in shrink_inputs(tau):
+            before = x.copy()
+            for got, want in (
+                (softplus(x, beta), softplus_two_pass(x, beta)),
+                (smooth_soft_shrink(x, tau, beta), smooth_soft_shrink_two_pass(x, tau, beta)),
+            ):
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                assert same_bits(got, want), x
+            assert x.tobytes() == before.tobytes()
+
+    def test_python_scalars_and_lists(self):
+        for x in (0.7, -2.0, [0.1, -0.6, 3.0]):
+            assert same_bits(smooth_soft_shrink(x, 0.5), smooth_soft_shrink_two_pass(x, 0.5, 100.0))
+
+    def test_checks_kept(self):
+        with pytest.raises(InvalidInput):
+            smooth_soft_shrink(np.ones(3), -0.1)
+        with pytest.raises(InvalidInput):
+            smooth_soft_shrink(np.ones(3), 0.1, beta=0.0)
+
+
+def power_iteration_with_linalg_norm(B, rtol=1e-10, max_iters=10000):
+    n = B.shape[0]
+    v = np.linspace(1.0, 2.0, n)
+    v /= np.linalg.norm(v)
+    lam, residual, iters = 0.0, np.inf, 0
+    for iters in range(1, max_iters + 1):
+        w = B @ v
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            return 0.0, 0.0, iters
+        lam = float(v @ w)
+        residual = float(np.linalg.norm(w - lam * v))
+        if residual <= rtol * max(1.0, abs(lam)):
+            break
+        v = w / nw
+    return lam, residual, iters
+
+
+class TestNormsMatchLinalg:
+    def test_power_iteration(self):
+        inst = gen_sparse_instance(128, 64, 0.1, 0.1, seed=2)
+        rng = np.random.default_rng(3)
+        for B in (
+            inst.M.T @ inst.M,
+            gen_gram_matrix(40, 0.2, seed=1),
+            rng.normal(size=(30, 30)),
+            np.diag([3.0, -3.0, 1.0]),
+            np.zeros((4, 4)),
+        ):
+            res = power_iteration(B, max_iters=500)
+            assert (res.value, res.residual, res.iters) == power_iteration_with_linalg_norm(
+                B, max_iters=500
+            )
+
+    def test_fista_errors(self):
+        inst = gen_sparse_instance(128, 64, 0.1, 0.1, seed=4)
+        problem = build_ista(inst)
+        gamma, tau = problem.gamma, problem.tau
+        x = np.zeros(inst.n)
+        z, t = x.copy(), 1.0
+        errors = [float(np.linalg.norm(x - inst.x_true))]
+        for _ in range(60):
+            x_next = soft_shrink(z - gamma * (inst.M.T @ (inst.M @ z - inst.y)), tau)
+            t_next = fista_momentum(t)
+            z = x_next + ((t - 1.0) / t_next) * (x_next - x)
+            x, t = x_next, t_next
+            errors.append(float(np.linalg.norm(x - inst.x_true)))
+        assert fista_run(problem, 60).errors.tobytes() == np.asarray(errors).tobytes()
 
 
 class TestSparseInstances:
