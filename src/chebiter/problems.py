@@ -503,40 +503,70 @@ def richardson_map(forward: FixedPointMap, y, relax: float) -> FixedPointMap:
     )
 
 
+# The blur kernel: each pixel's output is _BLUR_SELF times its own value
+# plus _BLUR_WEIGHT times the sum of the (2 _BLUR_HALF + 1)^2 window around
+# it, itself included, with zero padding at the borders.
+_BLUR_HALF = 3
+_BLUR_SELF = 1.4
+_BLUR_WEIGHT = 0.1
+
+
 @lru_cache(maxsize=8)
 def blur_matrix(height: int, width: int) -> np.ndarray:
-    """Dense linear blur operator on flattened height x width images.
+    """Dense linear blur operator C on flattened height x width images.
 
     Each output pixel is 1.5 times its own value plus 0.1 times every
-    neighbor in a 7 x 7 window, with zero padding at the borders. The
-    kernel is symmetric under negation, so the matrix is exactly
-    symmetric. Cached per shape; treat the result as read-only (it is
+    neighbor in a 7 x 7 window, with zero padding at the borders. That is
+    the Kronecker form C = _BLUR_WEIGHT kron(band(height), band(width))
+    + _BLUR_SELF I, where band(m) is the 0/1 matrix of |i - j| <= 3; it
+    is exactly symmetric. Only the nonzero width x width blocks are
+    written into a zero matrix, so the pages of the all-zero blocks are
+    never touched. Cached per shape; treat the result as read-only (it is
     returned write-protected).
     """
     if height < 1 or width < 1:
         raise InvalidInput(f"need height, width >= 1, got {height}, {width}")
+
+    def band(m):
+        i = np.arange(m)
+        return (np.abs(i[:, None] - i) <= _BLUR_HALF).astype(float)
+
     n = height * width
-    half = 3
-    K = np.full((2 * half + 1, 2 * half + 1), 0.1)
-    K[half, half] = 1.5
+    rows, cols = np.nonzero(band(height))
     C = np.zeros((n, n))
-    idx = np.arange(n).reshape(height, width)
-    for di in range(-half, half + 1):
-        for dj in range(-half, half + 1):
-            r0, r1 = max(0, -di), min(height, height - di)
-            c0, c1 = max(0, -dj), min(width, width - dj)
-            C[
-                idx[r0 + di : r1 + di, c0 + dj : c1 + dj].ravel(),
-                idx[r0:r1, c0:c1].ravel(),
-            ] = K[di + half, dj + half]
+    C.reshape(height, width, height, width)[rows, :, cols, :] = _BLUR_WEIGHT * band(width)
+    C.flat[:: n + 1] += _BLUR_SELF
     C.setflags(write=False)
     return C
+
+
+def _blur(x, height: int, width: int) -> np.ndarray:
+    """C x for the C of blur_matrix, without forming C.
+
+    The window sum of the zero-padded image is taken as 7 shifted column
+    slices, then 7 shifted row slices of that sum: O(n) work per call.
+    """
+    img = np.asarray(x, dtype=float).reshape(height, width)
+    k = 2 * _BLUR_HALF + 1
+    pad = np.zeros((height + k - 1, width + k - 1))
+    pad[_BLUR_HALF : _BLUR_HALF + height, _BLUR_HALF : _BLUR_HALF + width] = img
+    cols = pad[:, :width].copy()
+    for j in range(1, k):
+        cols += pad[:, j : j + width]
+    box = cols[:height].copy()
+    for i in range(1, k):
+        box += cols[i : i + height]
+    box *= _BLUR_WEIGHT
+    box += _BLUR_SELF * img
+    return box.ravel()
 
 
 @lru_cache(maxsize=8)
 def blur_map(height: int, width: int) -> FixedPointMap:
     """Saturating blur g(x) = sigmoid(C x) on flattened images.
 
+    eval and the slope of the Jacobian compute C x matrix-free (_blur);
+    the dense blur_matrix serves only the jacobian and spectrum hooks.
     The Jacobian diag(s (1 - s)) C has strictly positive scaling over the
     symmetric blur matrix, so the spectrum certificate always applies.
     Cached per shape like blur_matrix, so the symmetry check of C runs
@@ -545,10 +575,10 @@ def blur_map(height: int, width: int) -> FixedPointMap:
     C = blur_matrix(height, width)
 
     def step(x):
-        return sigmoid(C @ x)
+        return sigmoid(_blur(x, height, width))
 
     def slope(x):
-        s = sigmoid(C @ x)
+        s = step(x)
         return s * (1.0 - s)
 
     jac, spectrum = _factored_jacobian(C, slope)

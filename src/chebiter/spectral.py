@@ -47,8 +47,11 @@ __all__ = [
     "estimate_eigen_range",
 ]
 
-# Accuracy and runtime of the dense symmetric path were only checked up
-# to this size; larger problems should use the power-iteration path.
+# Largest n the symmetric eigensolvers accept: symmetric_eigenvalues and
+# the similarity spectrum behind every jacobian_spectrum hook. Their O(n^2)
+# memory and O(n^3) time were only checked up to this size. method="power"
+# is no way around it: it forms the same dense n x n Jacobian, and a map
+# with a spectrum hook reaches the cap whatever the method.
 MAX_DENSE_DIM = 1024
 
 _REL_ASYM_TOL = 1e-10

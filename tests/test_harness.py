@@ -214,6 +214,13 @@ class TestCliExitCodes:
         assert main(["bounds", "--a", "-1"]) == EX_USAGE
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", [("2", "5"), ("5", "2"), ("2", "2")])
+    def test_deblur_on_tiny_image(self, size, tmp_path, capsys):
+        height, width = size
+        argv = ["deblur", "--height", height, "--width", width, "--out", str(tmp_path)]
+        assert main(argv) == EX_USAGE
+        assert "pixels per side" in capsys.readouterr().err
+
     def test_missing_config(self, capsys):
         assert main(["jacobi", "--config", "/nonexistent/x.cfg"]) == EX_IOERR
 

@@ -32,6 +32,7 @@ from chebiter import (
     plain_schedule,
     power_iteration,
     power_map,
+    problems,
     richardson_map,
     run_inertial,
     sigmoid,
@@ -539,6 +540,33 @@ class TestBlur:
         # corner pixel: only the 4x4 quadrant survives
         assert np.count_nonzero(C[0]) == 16
         assert np.sum(C[0]) == pytest.approx(1.5 + 15 * 0.1, rel=1e-14)
+
+    @pytest.mark.parametrize("height", range(1, 9))
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_matrix_matches_pixel_oracle(self, height, width):
+        n = height * width
+        oracle = np.zeros((n, n))
+        for p in range(n):
+            for q in range(n):
+                dr = abs(p // width - q // width)
+                dc = abs(p % width - q % width)
+                if p == q:
+                    oracle[p, q] = 1.5
+                elif dr <= 3 and dc <= 3:
+                    oracle[p, q] = 0.1
+        assert np.array_equal(blur_matrix(height, width), oracle)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 5), (3, 3), (9, 13), (12, 12), (28, 28)])
+    def test_matrix_free_eval_matches_dense_product(self, shape):
+        # eval never forms C; it must agree with the dense product up to the
+        # rounding of two different 49-term summation orders.
+        C = blur_matrix(*shape)
+        rng = np.random.default_rng(sum(shape))
+        for x in (rng.uniform(0.0, 1.0, C.shape[0]), rng.standard_normal(C.shape[0])):
+            bound = 8 * np.finfo(float).eps * np.max(np.abs(x)) * 49
+            assert np.max(np.abs(problems._blur(x, *shape) - C @ x)) <= bound
+            got = blur_map(*shape).eval(x)
+            assert np.max(np.abs(got - sigmoid(C @ x))) <= bound
 
     def test_matrix_is_cached_and_read_only(self):
         C1 = blur_matrix(9, 9)
