@@ -76,14 +76,12 @@ class EigenRange:
     (0, 2), and the constructor enforces that. Measured ranges that may
     fall outside (estimation noise, non-contracting inputs) are built
     with unchecked=True and clipped before any schedule is built from
-    them. residual optionally carries the defect of a power-method
-    estimate; exact computations leave it None.
+    them.
     """
 
     a: float
     b: float
     unchecked: bool = False
-    residual: Optional[float] = None
 
     def __post_init__(self) -> None:
         a, b = float(self.a), float(self.b)

@@ -30,7 +30,6 @@ from .spectral import (
     _check_square,
     _rel_asymmetry,
     _similarity_spectrum,
-    power_iteration,
 )
 
 __all__ = [
@@ -228,8 +227,9 @@ class ProximalProblem:
 def build_ista(instance: SparseRecoveryInstance, reg_weight: float = 1.0) -> ProximalProblem:
     """Shrinkage-based fixed-point iteration for a sparse recovery instance.
 
-    The step size is 1 over the largest eigenvalue of M^T M, found by
-    power iteration. The Jacobian is diag of the shrinkage derivative
+    The step size is 1 over the largest eigenvalue of M^T M, computed
+    exactly on the smaller of the Grams M M^T and M^T M, which share their
+    nonzero eigenvalues. The Jacobian is diag of the shrinkage derivative
     (in [0, 1]) times symmetric A, so the map carries a certified real
     spectrum.
     """
@@ -238,7 +238,8 @@ def build_ista(instance: SparseRecoveryInstance, reg_weight: float = 1.0) -> Pro
     M, y = instance.M, instance.y
     n = instance.n
     G = M.T @ M
-    lam_max = power_iteration(G).value
+    gram = _check_square(M @ M.T if instance.m <= n else G, "Gram matrix")
+    lam_max = float(np.linalg.eigvalsh(gram)[-1])
     if lam_max <= 0.0:
         raise DegenerateOperator("measurement operator is zero; no step size exists")
     gamma = 1.0 / lam_max

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import EigenRange, FixedPointMap, InertialSchedule, _norm
+from .core import EigenRange, FixedPointMap, InertialSchedule
 from .errors import (
     DimensionError,
     InvalidInput,
@@ -42,16 +42,13 @@ __all__ = [
     "jacobian_fd",
     "symmetric_eigenvalues",
     "real_spectrum_via_similarity",
-    "PowerResult",
-    "power_iteration",
     "estimate_eigen_range",
 ]
 
-# Largest n the symmetric eigensolvers accept: symmetric_eigenvalues and
-# the similarity spectrum behind every jacobian_spectrum hook. Their O(n^2)
-# memory and O(n^3) time were only checked up to this size. method="power"
-# is no way around it: it forms the same dense n x n Jacobian, and a map
-# with a spectrum hook reaches the cap whatever the method.
+# Largest n the dense symmetric eigensolvers accept: symmetric_eigenvalues,
+# the similarity spectrum behind every jacobian_spectrum hook and the dense
+# path of estimate_eigen_range. Their O(n^2) memory and O(n^3) time were
+# only checked up to this size.
 MAX_DENSE_DIM = 1024
 
 _REL_ASYM_TOL = 1e-10
@@ -303,53 +300,11 @@ def _similarity_spectrum(A: np.ndarray, q) -> np.ndarray:
     if k == 0:
         return np.zeros(n)
     s = np.sqrt(q[support])
-    core = (s[:, None] * A[np.ix_(support, support)]) * s[None, :]
+    # With every q_i > 0 the support is all of A: skip the n x n copy.
+    A_s = A if k == n else A[np.ix_(support, support)]
+    core = (s[:, None] * A_s) * s[None, :]
     lam = np.linalg.eigvalsh((core + core.T) / 2.0)
     return np.sort(np.concatenate([lam, np.zeros(n - k)]))
-
-
-@dataclass(frozen=True)
-class PowerResult:
-    """Dominant eigenvalue estimate with its defect |Bv - value * v|."""
-
-    value: float
-    residual: float
-    iters: int
-
-
-def power_iteration(
-    B, rtol: float = 1e-10, max_iters: int = 10000
-) -> PowerResult:
-    """Signed dominant eigenvalue of B by power iteration.
-
-    Starts from the fixed vector linspace(1, 2, n) so results are
-    deterministic. Stops once the residual |Bv - lam v| falls below
-    rtol * max(1, |lam|); if it never does (clustered or complex dominant
-    eigenvalues) the loop runs out and the caller should inspect the
-    returned residual.
-    """
-    B = _check_square(B, "matrix")
-    n = B.shape[0]
-    if not (rtol > 0.0):
-        raise InvalidInput(f"rtol must be > 0, got {rtol}")
-    if int(max_iters) < 1:
-        raise InvalidInput(f"max_iters must be >= 1, got {max_iters}")
-    v = np.linspace(1.0, 2.0, n)
-    v /= _norm(v)
-    lam = 0.0
-    residual = math.inf
-    iters = 0
-    for iters in range(1, int(max_iters) + 1):
-        w = B @ v
-        nw = _norm(w)
-        if nw == 0.0:
-            return PowerResult(value=0.0, residual=0.0, iters=iters)
-        lam = float(v @ w)
-        residual = _norm(w - lam * v)
-        if residual <= rtol * max(1.0, abs(lam)):
-            break
-        v = w / nw
-    return PowerResult(value=lam, residual=residual, iters=iters)
 
 
 def _verify_fixed_point(fpmap: FixedPointMap, x_star: np.ndarray, fp_tol: float) -> np.ndarray:
@@ -370,7 +325,6 @@ def _verify_fixed_point(fpmap: FixedPointMap, x_star: np.ndarray, fp_tol: float)
 def estimate_eigen_range(
     fpmap: FixedPointMap,
     x_star: np.ndarray,
-    method: str = "dense",
     fp_tol: float = 1e-6,
 ) -> EigenRange:
     """Measure the eigenvalue range of B = I - J at a fixed point.
@@ -383,16 +337,13 @@ def estimate_eigen_range(
     * a map that certifies its Jacobian spectrum (jacobian_spectrum hook)
       is trusted directly, B eigenvalues being 1 minus that spectrum;
     * otherwise the Jacobian comes from the map's analytic jacobian or
-      central differences, and "dense" takes exact symmetric eigenvalues.
-      A Jacobian that is not symmetric to 1e-10 gets symmetrized after
-      a SpectrumNotCertifiedReal warning; the symmetrized range is wrong
+      central differences, and the range is the extreme exact eigenvalues
+      of the symmetric part of B, within the MAX_DENSE_DIM cap. A
+      Jacobian that is not symmetric to 1e-10 gets symmetrized after a
+      SpectrumNotCertifiedReal warning; the symmetrized range is wrong
       for genuinely asymmetric Jacobians, so such maps should provide the
-      spectrum hook instead;
-    * "power" estimates both endpoints by power iteration with a shifted
-      second pass, recording the larger of the two defects as residual.
+      spectrum hook instead.
     """
-    if method not in ("dense", "power"):
-        raise InvalidInput(f"unknown method {method!r}, expected 'dense' or 'power'")
     x = _verify_fixed_point(fpmap, x_star, fp_tol)
 
     if fpmap.jacobian_spectrum is not None:
@@ -413,21 +364,15 @@ def estimate_eigen_range(
                 f"jacobian has shape {J.shape}, expected ({fpmap.dim}, {fpmap.dim})"
             )
     else:
-        J = jacobian_fd(fpmap.eval, x)
+        J = _check_square(jacobian_fd(fpmap.eval, x), "jacobian")
     B = np.eye(fpmap.dim) - J
-
-    if method == "dense":
-        if _rel_asymmetry(B) > _REL_ASYM_TOL:
-            warnings.warn(
-                "Jacobian is not symmetric and the map does not certify a real "
-                "spectrum; estimating from the symmetrized matrix",
-                SpectrumNotCertifiedReal,
-                stacklevel=2,
-            )
-        lam = symmetric_eigenvalues((B + B.T) / 2.0)
-        return EigenRange(float(lam[0]), float(lam[-1]), unchecked=True)
-
-    first = power_iteration(B)
-    shifted = power_iteration(first.value * np.eye(fpmap.dim) - B)
-    lo, hi = sorted((first.value, first.value - shifted.value))
-    return EigenRange(lo, hi, unchecked=True, residual=max(first.residual, shifted.residual))
+    if _rel_asymmetry(B) > _REL_ASYM_TOL:
+        warnings.warn(
+            "Jacobian is not symmetric and the map does not certify a real "
+            "spectrum; estimating from the symmetrized matrix",
+            SpectrumNotCertifiedReal,
+            stacklevel=2,
+        )
+    _check_dense_size(fpmap.dim)
+    lam = np.linalg.eigvalsh((B + B.T) / 2.0)
+    return EigenRange(float(lam[0]), float(lam[-1]), unchecked=True)

@@ -152,13 +152,13 @@ class TestIstaDriver:
     def test_one_step_size_per_seed(self, monkeypatch):
         # the smoothed iteration and the FISTA baseline share build_ista's step size
         calls = []
-        power_iteration = chebiter.problems.power_iteration
+        build_ista = chebiter.experiments.build_ista
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return power_iteration(*args, **kwargs)
+            return build_ista(*args, **kwargs)
 
-        monkeypatch.setattr(chebiter.problems, "power_iteration", counted)
+        monkeypatch.setattr(chebiter.experiments, "build_ista", counted)
         run_ista(None, seeds=2, n=32, m=16, iters=200)
         assert len(calls) == 2
 
@@ -358,9 +358,9 @@ CLI_FLAGS = {
 PACKAGE_NAMES = """
     EigenRange FixedPointMap InertialSchedule IterationTrace StopCriteria StopReason
     chebyshev_roots chebyshev_schedule constant_sor_schedule inertial_step plain_schedule
-    run_inertial ConvergenceBound PowerResult chebyshev_eval convergence_bound
+    run_inertial ConvergenceBound chebyshev_eval convergence_bound
     estimate_eigen_range jacobian_fd monic_chebyshev per_step_rate per_step_rate_limit
-    period_contraction_bound period_polynomial period_spectral_radius power_iteration
+    period_contraction_bound period_polynomial period_spectral_radius
     real_spectrum_via_similarity symmetric_eigenvalues FistaResult JacobiInstance
     ProximalProblem SparseRecoveryInstance blur_map blur_matrix build_ista deblur_map
     fista_momentum fista_run gen_gram_matrix gen_jacobi_instance gen_sparse_instance
@@ -396,7 +396,7 @@ class TestSurface:
         assert set(settings) == {k.replace("-", "_") for k in CLI_FLAGS[command]}
 
     def test_package_exports(self):
-        assert len(PACKAGE_NAMES) == 82
+        assert len(PACKAGE_NAMES) == 80
         assert sorted(chebiter.__all__) == sorted(PACKAGE_NAMES)
         for name in PACKAGE_NAMES:
             assert hasattr(chebiter, name), name

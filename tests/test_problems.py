@@ -30,7 +30,6 @@ from chebiter import (
     jacobian_fd,
     jacobi_map,
     plain_schedule,
-    power_iteration,
     power_map,
     problems,
     richardson_map,
@@ -184,40 +183,7 @@ class TestShrinkageBitIdentity:
             smooth_soft_shrink(np.ones(3), 0.1, beta=0.0)
 
 
-def power_iteration_with_linalg_norm(B, rtol=1e-10, max_iters=10000):
-    n = B.shape[0]
-    v = np.linspace(1.0, 2.0, n)
-    v /= np.linalg.norm(v)
-    lam, residual, iters = 0.0, np.inf, 0
-    for iters in range(1, max_iters + 1):
-        w = B @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0, 0.0, iters
-        lam = float(v @ w)
-        residual = float(np.linalg.norm(w - lam * v))
-        if residual <= rtol * max(1.0, abs(lam)):
-            break
-        v = w / nw
-    return lam, residual, iters
-
-
 class TestNormsMatchLinalg:
-    def test_power_iteration(self):
-        inst = gen_sparse_instance(128, 64, 0.1, 0.1, seed=2)
-        rng = np.random.default_rng(3)
-        for B in (
-            inst.M.T @ inst.M,
-            gen_gram_matrix(40, 0.2, seed=1),
-            rng.normal(size=(30, 30)),
-            np.diag([3.0, -3.0, 1.0]),
-            np.zeros((4, 4)),
-        ):
-            res = power_iteration(B, max_iters=500)
-            assert (res.value, res.residual, res.iters) == power_iteration_with_linalg_norm(
-                B, max_iters=500
-            )
-
     def test_fista_errors(self):
         inst = gen_sparse_instance(128, 64, 0.1, 0.1, seed=4)
         problem = build_ista(inst)
@@ -286,6 +252,12 @@ class TestBuildIsta:
         lam = symmetric_eigenvalues(inst.M.T @ inst.M)
         assert prob.gamma * lam[-1] == pytest.approx(1.0, rel=1e-8)
         assert np.max(np.abs(prob.A - prob.A.T)) == 0.0
+        # wide, tall and square M: gamma comes from the smaller Gram exactly
+        for n, m in ((48, 24), (24, 48), (30, 30)):
+            M = gen_sparse_instance(n, m, 0.15, 0.05, seed=7).M
+            small = M @ M.T if m <= n else M.T @ M
+            inst = SparseRecoveryInstance(M=M, y=np.zeros(m), x_true=np.zeros(n))
+            assert build_ista(inst).gamma == 1.0 / np.linalg.eigvalsh(small)[-1]
 
     def test_spectrum_hook_only_for_odd_variant(self):
         inst = gen_sparse_instance(32, 16, 0.2, 0.05, seed=2)
@@ -318,6 +290,10 @@ class TestBuildIsta:
         )
         with pytest.raises(DegenerateOperator):
             build_ista(inst)
+        M = np.ones((4, 6))
+        M[1, 2] = np.nan
+        with pytest.raises(NonFiniteValue):
+            build_ista(SparseRecoveryInstance(M=M, y=np.zeros(4), x_true=np.zeros(6)))
         with pytest.raises(InvalidInput):
             build_ista(gen_sparse_instance(8, 4, 0.1, 0.1, seed=0), reg_weight=0.0)
 

@@ -28,7 +28,6 @@ from chebiter import (
     period_contraction_bound,
     period_polynomial,
     period_spectral_radius,
-    power_iteration,
     real_spectrum_via_similarity,
     symmetric_eigenvalues,
 )
@@ -317,6 +316,26 @@ class TestRealSpectrumViaSimilarity:
         lam = real_spectrum_via_similarity(A, q)
         assert np.count_nonzero(lam == 0.0) >= 3
 
+    def test_full_support_skips_copy_bit_for_bit(self):
+        # With every q_i > 0 the spectrum uses A itself instead of the
+        # A[ix_(support, support)] copy; the bits must not move.
+        def with_copy(A, q):
+            support = q > 0.0
+            s = np.sqrt(q[support])
+            core = (s[:, None] * A[np.ix_(support, support)]) * s[None, :]
+            lam = np.linalg.eigvalsh((core + core.T) / 2.0)
+            return np.sort(np.concatenate([lam, np.zeros(q.size - s.size)]))
+
+        rng = np.random.default_rng(71)
+        M = rng.normal(size=(40, 40))
+        A = (M + M.T) / 2.0
+        q = rng.uniform(0.1, 1.0, size=40)
+        q_zeros = q.copy()
+        q_zeros[::3] = 0.0
+        for qq in (q, q_zeros):
+            ours = real_spectrum_via_similarity(A, qq)
+            assert ours.tobytes() == with_copy(A, qq).tobytes()
+
     def test_all_zero_q(self):
         A = np.eye(4)
         assert np.array_equal(real_spectrum_via_similarity(A, np.zeros(4)), np.zeros(4))
@@ -336,30 +355,6 @@ class TestRealSpectrumViaSimilarity:
             real_spectrum_via_similarity(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
         with pytest.raises(NonFiniteValue):
             real_spectrum_via_similarity(A, np.array([1.0, np.inf, 1.0]))
-
-
-class TestPowerIteration:
-    def test_finds_dominant_eigenvalue(self):
-        D = np.diag([0.2, -0.7, 1.8, 0.4])
-        res = power_iteration(D)
-        assert res.value == pytest.approx(1.8, rel=1e-8)
-        assert res.residual <= 1e-6
-
-    def test_negative_dominant(self):
-        D = np.diag([-1.9, 0.5, 1.2])
-        res = power_iteration(D)
-        assert res.value == pytest.approx(-1.9, rel=1e-8)
-
-    def test_zero_matrix(self):
-        res = power_iteration(np.zeros((3, 3)))
-        assert res.value == 0.0
-        assert res.residual == 0.0
-
-    def test_validation(self):
-        with pytest.raises(InvalidInput):
-            power_iteration(np.eye(2), rtol=0.0)
-        with pytest.raises(InvalidInput):
-            power_iteration(np.eye(2), max_iters=0)
 
 
 def affine_fp_map(A, b, **kw):
@@ -407,16 +402,16 @@ class TestEstimateEigenRange:
         assert r.a == pytest.approx(0.34648735183648424, rel=1e-10)
         assert r.b == pytest.approx(1.7459126481635158, rel=1e-10)
 
-    def test_power_method_matches_dense_for_symmetric(self):
-        rng = np.random.default_rng(67)
-        M = rng.normal(size=(12, 12))
-        A = 0.4 * (M + M.T) / 2.0 / np.linalg.norm(M, 2)
-        m = affine_fp_map(A, np.zeros(12))
-        dense = estimate_eigen_range(m, np.zeros(12))
-        power = estimate_eigen_range(m, np.zeros(12), method="power")
-        assert power.residual is not None and power.residual <= 1e-6
-        assert power.a == pytest.approx(dense.a, abs=1e-7)
-        assert power.b == pytest.approx(dense.b, abs=1e-7)
+    def test_dense_path_checks_and_cap(self):
+        # x -> 0.5 x for x >= 0, NaN below: the central differences at the
+        # fixed point 0 are not finite
+        half = FixedPointMap(dim=1, eval=lambda x: np.where(x < 0.0, np.nan, 0.5 * x))
+        with pytest.raises(NonFiniteValue):
+            estimate_eigen_range(half, np.zeros(1))
+        n = 1025
+        big = affine_fp_map(np.zeros((n, n)), np.zeros(n))
+        with pytest.raises(InvalidInput):
+            estimate_eigen_range(big, np.zeros(n))
 
     def test_rejects_non_fixed_point(self):
         m = affine_fp_map(np.diag([0.5]), np.array([1.0]))
@@ -432,13 +427,6 @@ class TestEstimateEigenRange:
             estimate_eigen_range(m, near)
         r = estimate_eigen_range(m, near, fp_tol=1e-3)
         assert r.a == pytest.approx(0.5, abs=1e-12)
-
-    def test_unknown_method(self):
-        m = affine_fp_map(np.diag([0.5]), np.zeros(1))
-        hooked = affine_fp_map(np.diag([0.5]), np.zeros(1), jacobian_spectrum=lambda x: [0.5])
-        for fpmap in (m, hooked):
-            with pytest.raises(InvalidInput):
-                estimate_eigen_range(fpmap, np.zeros(1), method="lanczos")
 
     def test_range_clipping_workflow(self):
         # a measured range may poke outside (0, 2); clipping makes it usable
