@@ -14,6 +14,7 @@ faster than any single constant factor can.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -72,16 +73,14 @@ class FixedPointMap:
 class EigenRange:
     """Closed interval [a, b] enclosing the eigenvalues of B = I - J(x*).
 
-    For a contracting map with real spectrum the interval sits inside
-    (0, 2), and the constructor enforces that. Measured ranges that may
-    fall outside (estimation noise, non-contracting inputs) are built
-    with unchecked=True and clipped before any schedule is built from
-    them.
+    Any finite a <= b is a range. The Chebyshev factors and the bounds
+    need the spectrum on one side of 0, so they check a > 0 themselves;
+    they do not need b < 2, and a map whose plain iteration does not
+    contract (b >= 2) is accelerated all the same.
     """
 
     a: float
     b: float
-    unchecked: bool = False
 
     def __post_init__(self) -> None:
         a, b = float(self.a), float(self.b)
@@ -89,11 +88,6 @@ class EigenRange:
             raise InvalidRange(f"range endpoints must be finite, got ({self.a}, {self.b})")
         if a > b:
             raise InvalidRange(f"range needs a <= b, got ({a}, {b})")
-        if not self.unchecked and not (0.0 < a and b < 2.0):
-            raise InvalidRange(
-                f"range ({a}, {b}) is outside (0, 2); pass unchecked=True "
-                "for raw estimates and clip before building schedules"
-            )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -109,17 +103,15 @@ class EigenRange:
     def width(self) -> float:
         return self.b - self.a
 
-    def clipped(self, eps: float = 1e-6) -> "EigenRange":
-        """Clip into [eps, 2 - eps] and return a checked range.
+    def clipped(self) -> "EigenRange":
+        """Lift both ends to at least 1e-6.
 
-        Safety valve applied to estimated ranges before schedule
-        construction so estimation noise cannot produce factors with the
-        wrong sign or a division by zero.
+        Applied to measured ranges before schedule construction, so that
+        estimation noise at or below 0 cannot produce a factor with the
+        wrong sign or a division by zero. The upper end is kept: the
+        factors must cover every eigenvalue, however large.
         """
-        lo, hi = eps, 2.0 - eps
-        a = min(max(self.a, lo), hi)
-        b = min(max(self.b, lo), hi)
-        return EigenRange(a, b)
+        return EigenRange(max(self.a, 1e-6), max(self.b, 1e-6))
 
 
 def plain_schedule() -> "InertialSchedule":
@@ -207,8 +199,8 @@ def chebyshev_schedule(
 def constant_sor_schedule(rng: EigenRange) -> InertialSchedule:
     """The best single constant factor for [a, b]: w = 2 / (a + b).
 
-    Equals the period-1 Chebyshev schedule bit for bit on any valid range,
-    but also accepts ranges with a <= 0 as long as a + b > 0.
+    Equals the period-1 Chebyshev schedule bit for bit on a range with
+    a > 0, but also accepts ranges with a <= 0 as long as a + b > 0.
     """
     if rng.a + rng.b <= 0.0:
         raise InvalidRange(f"constant factor needs a + b > 0, got ({rng.a}, {rng.b})")
@@ -235,7 +227,11 @@ class StopCriteria:
     error_target: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if int(self.max_iters) < 1:
+        try:
+            max_iters = operator.index(self.max_iters)
+        except TypeError:
+            raise InvalidInput(f"max_iters must be an integer, got {self.max_iters!r}") from None
+        if max_iters < 1:
             raise InvalidInput(f"max_iters must be >= 1, got {self.max_iters}")
         if not (self.step_tol >= 0.0):
             raise InvalidInput(f"step_tol must be >= 0, got {self.step_tol}")
@@ -248,6 +244,7 @@ class StopCriteria:
             raise InvalidInput(
                 f"error_target must be finite and >= 0, got {self.error_target}"
             )
+        object.__setattr__(self, "max_iters", max_iters)
 
 
 class StopReason(str, Enum):

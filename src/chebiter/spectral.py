@@ -315,7 +315,7 @@ def _verify_fixed_point(fpmap: FixedPointMap, x_star: np.ndarray, fp_tol: float)
         raise NonFiniteValue("x_star has non-finite components")
     defect = float(np.linalg.norm(np.asarray(fpmap.eval(x), dtype=float) - x))
     tol = fp_tol * (1.0 + float(np.linalg.norm(x)))
-    if defect > tol:
+    if not defect <= tol:
         raise NotAFixedPoint(
             f"|f(x) - x| = {defect:.3e} exceeds {tol:.3e}; pass an actual fixed point"
         )
@@ -331,8 +331,9 @@ def estimate_eigen_range(
 
     x_star must satisfy |f(x) - x| <= fp_tol * (1 + |x|); loosen fp_tol
     when probing the range at a pilot iterate that is only approximately
-    stationary. The result is an unchecked measurement; clip it before
-    building a schedule from it. Resolution order:
+    stationary. The result is the raw measurement, whose left end noise
+    can put at or below 0; clip it before building a schedule from it.
+    Resolution order:
 
     * a map that certifies its Jacobian spectrum (jacobian_spectrum hook)
       is trusted directly, B eigenvalues being 1 minus that spectrum;
@@ -355,7 +356,7 @@ def estimate_eigen_range(
         if not np.all(np.isfinite(eig_j)):
             raise NonFiniteValue("jacobian_spectrum returned non-finite values")
         eig_b = 1.0 - eig_j
-        return EigenRange(float(eig_b.min()), float(eig_b.max()), unchecked=True)
+        return EigenRange(float(eig_b.min()), float(eig_b.max()))
 
     if fpmap.jacobian is not None:
         J = _check_square(fpmap.jacobian(x), "jacobian")
@@ -375,4 +376,4 @@ def estimate_eigen_range(
         )
     _check_dense_size(fpmap.dim)
     lam = np.linalg.eigvalsh((B + B.T) / 2.0)
-    return EigenRange(float(lam[0]), float(lam[-1]), unchecked=True)
+    return EigenRange(float(lam[0]), float(lam[-1]))

@@ -256,7 +256,7 @@ def test_criterion_09_packaged_maps_contract():
     ranges["power"] = estimate_eigen_range(pm, pilot.x_final)
 
     tm = tanh_equation_map(np.array([0.1, 0.6]))
-    coarse = EigenRange(1.0, 2.0, unchecked=True).clipped()
+    coarse = EigenRange(1.0, 2.0 - 1e-6)
     pilot = run_inertial(tm, chebyshev_schedule(coarse, 8), np.zeros(2), StopCriteria(40))
     ranges["tanh-solve"] = estimate_eigen_range(tm, pilot.x_final)
 

@@ -56,19 +56,17 @@ class TestEigenRange:
         with pytest.raises(InvalidRange):
             EigenRange(math.nan, 0.9)
 
-    def test_rejects_noncontracting_unless_unchecked(self):
-        with pytest.raises(InvalidRange):
-            EigenRange(-0.1, 0.9)
-        with pytest.raises(InvalidRange):
-            EigenRange(0.1, 2.0)
-        r = EigenRange(-0.1, 2.3, unchecked=True)
-        assert r.a == -0.1
+    def test_accepts_any_finite_ordered_interval(self):
+        r = EigenRange(-0.1, 2.3)
+        assert (r.a, r.b) == (-0.1, 2.3)
+        r = EigenRange(0.1, 2.0)
+        assert (r.a, r.b) == (0.1, 2.0)
 
-    def test_clipped_pulls_into_open_interval(self):
-        r = EigenRange(-0.5, 2.5, unchecked=True).clipped(1e-6)
-        assert r.a == 1e-6
-        assert r.b == 2.0 - 1e-6
-        assert not r.unchecked
+    def test_clipped_lifts_ends_to_positive(self):
+        r = EigenRange(-0.5, 2.5).clipped()
+        assert (r.a, r.b) == (1e-6, 2.5)
+        r = EigenRange(-0.5, -0.1).clipped()
+        assert (r.a, r.b) == (1e-6, 1e-6)
         inner = EigenRange(0.3, 0.8).clipped()
         assert (inner.a, inner.b) == (0.3, 0.8)
 
@@ -135,7 +133,7 @@ class TestChebyshevSchedule:
 
     def test_requires_positive_lower_endpoint(self):
         with pytest.raises(InvalidRange):
-            chebyshev_schedule(EigenRange(0.0, 0.9, unchecked=True), 4)
+            chebyshev_schedule(EigenRange(0.0, 0.9), 4)
 
     def test_permutation_reorders_within_period(self):
         r = EigenRange(0.1, 0.9)
@@ -154,12 +152,12 @@ class TestConstantSor:
         assert s.factors[0] == 0.76964519356576618
 
     def test_accepts_negative_a_when_sum_positive(self):
-        s = constant_sor_schedule(EigenRange(-0.5, 1.5, unchecked=True))
+        s = constant_sor_schedule(EigenRange(-0.5, 1.5))
         assert s.factors[0] == 2.0
 
     def test_rejects_nonpositive_sum(self):
         with pytest.raises(InvalidRange):
-            constant_sor_schedule(EigenRange(-1.0, 1.0, unchecked=True))
+            constant_sor_schedule(EigenRange(-1.0, 1.0))
 
 
 class TestInertialSchedule:
@@ -416,3 +414,8 @@ class TestRunInertial:
             with pytest.raises(InvalidInput):
                 StopCriteria(max_iters=5, error_target=bad)
         assert StopCriteria(max_iters=5, error_target=0.0).error_target == 0.0
+        for bad in (5.0, 5.7, "5"):
+            with pytest.raises(InvalidInput):
+                StopCriteria(max_iters=bad)
+        stop = StopCriteria(max_iters=np.int64(5))
+        assert stop.max_iters == 5 and type(stop.max_iters) is int

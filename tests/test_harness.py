@@ -19,7 +19,7 @@ import chebiter.problems
 from chebiter import cli
 from chebiter.cli import EX_CONFIG, EX_IOERR, EX_OK, EX_USAGE, main
 from chebiter.core import FixedPointMap, StopCriteria, plain_schedule, run_inertial
-from chebiter.errors import InvalidInput
+from chebiter.errors import InvalidRange
 from chebiter.experiments import (
     bounds_rows,
     run_deblur,
@@ -66,7 +66,8 @@ class TestBoundsRows:
             assert row["per_step"] > row["limit"]
 
     def test_rejects_nonpositive_left_end(self):
-        with pytest.raises(InvalidInput):
+        # raised by convergence_bound, the one place that needs a > 0
+        with pytest.raises(InvalidRange):
             bounds_rows(0.0, 1.0, [2])
 
 
@@ -213,6 +214,16 @@ class TestCliExitCodes:
     def test_bad_value_from_library(self, capsys):
         assert main(["bounds", "--a", "-1"]) == EX_USAGE
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["bounds", "--a", "0"], ["deblur", "--range-a", "0"]])
+    def test_nonpositive_left_end(self, argv, capsys):
+        assert main(argv) == EX_USAGE
+        assert "a > 0" in capsys.readouterr().err
+
+    def test_deblur_range_above_two(self, capsys):
+        # the factors need a > 0 only; a range reaching past 2 is a range
+        assert main(["deblur", "--range-b", "2.5", "--seeds", "1", "--iters", "8"]) == EX_OK
+        assert "range_b=2.5" in capsys.readouterr().out
 
     @pytest.mark.parametrize("size", [("2", "5"), ("5", "2"), ("2", "2")])
     def test_deblur_on_tiny_image(self, size, tmp_path, capsys):

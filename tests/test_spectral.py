@@ -16,6 +16,8 @@ from chebiter import (
     NotAFixedPoint,
     NotSymmetric,
     SpectrumNotCertifiedReal,
+    StopCriteria,
+    StopReason,
     chebyshev_eval,
     chebyshev_roots,
     chebyshev_schedule,
@@ -28,7 +30,9 @@ from chebiter import (
     period_contraction_bound,
     period_polynomial,
     period_spectral_radius,
+    plain_schedule,
     real_spectrum_via_similarity,
+    run_inertial,
     symmetric_eigenvalues,
 )
 
@@ -49,7 +53,7 @@ LIMIT_NARROW = 0.00027793220601620654  # range (0.899, 0.9)
 def random_range(rng, max_ratio=30.0):
     a = rng.uniform(0.02, 1.0)
     b = a * rng.uniform(1.05, max_ratio)
-    return EigenRange(a, min(b, 1.999), unchecked=True)
+    return EigenRange(a, min(b, 1.999))
 
 
 class TestChebyshevEval:
@@ -156,7 +160,7 @@ class TestContractionBound:
         assert per_step_rate_limit(r) == 0.0
 
     def test_rejects_nonpositive_lower_endpoint(self):
-        bad = EigenRange(0.0, 0.9, unchecked=True)
+        bad = EigenRange(0.0, 0.9)
         with pytest.raises(InvalidRange):
             period_contraction_bound(bad, 2)
         with pytest.raises(InvalidRange):
@@ -370,7 +374,6 @@ class TestEstimateEigenRange:
         A = np.diag([0.3, 0.5, 0.7])
         m = affine_fp_map(A, np.zeros(3))
         r = estimate_eigen_range(m, np.zeros(3))
-        assert r.unchecked
         assert r.a == pytest.approx(0.3, abs=1e-12)
         assert r.b == pytest.approx(0.7, abs=1e-12)
 
@@ -417,6 +420,12 @@ class TestEstimateEigenRange:
         m = affine_fp_map(np.diag([0.5]), np.array([1.0]))
         with pytest.raises(NotAFixedPoint):
             estimate_eigen_range(m, np.zeros(1))
+        # a NaN defect is no fixed point either, though NaN > tol is false
+        nan = FixedPointMap(
+            dim=2, eval=lambda x: np.full(2, np.nan), jacobian=lambda x: 0.5 * np.eye(2)
+        )
+        with pytest.raises(NotAFixedPoint):
+            estimate_eigen_range(nan, np.zeros(2))
 
     def test_fp_tol_admits_pilot_iterates(self):
         # fixed point of x -> 0.5 x + b is 2 b; probe nearby with a loose
@@ -429,7 +438,7 @@ class TestEstimateEigenRange:
         assert r.a == pytest.approx(0.5, abs=1e-12)
 
     def test_range_clipping_workflow(self):
-        # a measured range may poke outside (0, 2); clipping makes it usable
+        # a measured range may reach below 0; clipping makes it usable
         m = affine_fp_map(np.diag([1.02, 0.5]), np.zeros(2))  # B eigs -0.02, 0.5
         r = estimate_eigen_range(m, np.zeros(2))
         assert r.a < 0.0
@@ -437,3 +446,33 @@ class TestEstimateEigenRange:
         assert c.a == 1e-6
         s = chebyshev_schedule(c, 4)
         assert all(np.isfinite(s.factors))
+
+
+class TestNonContractingMap:
+    """x <- y - 2 tanh(x): B = 1 + 2 sech^2(x) lies in (1, 3], so the plain
+    iteration need not contract, yet the spectrum is on one side of 0 and
+    a Chebyshev schedule on the whole of it converges within its bound."""
+
+    def test_schedule_converges_where_plain_does_not(self):
+        y = np.array([0.1, 0.6, 1.5])
+        fpmap = FixedPointMap(
+            dim=3,
+            eval=lambda x: y - 2.0 * np.tanh(x),
+            jacobian_spectrum=lambda x: -2.0 / np.cosh(x) ** 2,
+        )
+        x0 = np.zeros(3)
+        stop = StopCriteria(max_iters=64)
+        pilot = run_inertial(fpmap, chebyshev_schedule(EigenRange(1.0, 3.0), 8), x0, stop)
+        x_star = pilot.x_final
+        assert pilot.stop_reason is StopReason.TOLERANCE and pilot.steps <= 32
+        assert np.linalg.norm(fpmap(x_star) - x_star) < 1e-15
+
+        rng = estimate_eigen_range(fpmap, x_star).clipped()
+        assert 2.5 < rng.a < rng.b and 2.99 < rng.b < 3.0
+
+        cheb = run_inertial(fpmap, chebyshev_schedule(rng, 8), x0, stop, x_ref=x_star)
+        assert cheb.converged and cheb.steps < 64
+        assert cheb.errors[8] / cheb.errors[0] <= period_contraction_bound(rng, 8)
+
+        plain = run_inertial(fpmap, plain_schedule(), x0, stop, x_ref=x_star)
+        assert plain.steps == 64 and plain.errors[-1] > 1.0
