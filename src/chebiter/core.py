@@ -50,8 +50,10 @@ class FixedPointMap:
 
     eval must be pure (no state, no randomness). jacobian, when given,
     returns the dense dim x dim Jacobian of f at a point. jacobian_spectrum,
-    when given, returns a certified-real spectrum of the Jacobian at a point;
-    maps whose Jacobian factors as a nonnegative diagonal times a symmetric
+    when given, returns certified-real eigenvalues of the Jacobian at a
+    point that include its smallest and its largest: the full spectrum, or
+    only the two extremes (the blur map's matrix-free certificate); maps
+    whose Jacobian factors as a nonnegative diagonal times a symmetric
     matrix can provide it even though the Jacobian itself is not symmetric.
     """
 

@@ -11,6 +11,7 @@ __all__ = [
     "InvalidRange",
     "NonFiniteValue",
     "NotAFixedPoint",
+    "NotConverged",
     "NotSymmetric",
     "SingularDiagonal",
     "SpectrumNotCertifiedReal",
@@ -40,6 +41,10 @@ class NotSymmetric(ChebiterError, ValueError):
 
 class NotAFixedPoint(ChebiterError, ValueError):
     """Point offered as a fixed point does not satisfy f(x) = x within tolerance."""
+
+
+class NotConverged(ChebiterError, ArithmeticError):
+    """An iterative eigensolver reached its step cap before its stopping rule held."""
 
 
 class InvalidInput(ChebiterError, ValueError):

@@ -5,7 +5,9 @@ generators that produce reproducible instances of each.
 Maps that know their Jacobian as shift I + scale diag(q) A, with A
 symmetric and q >= 0, state it once through _factored_jacobian, which
 also attaches a jacobian_spectrum hook, so range estimation gets the
-exact real spectrum instead of falling back to symmetrization.
+exact real spectrum instead of falling back to symmetrization. The blur
+map gives its A as a matvec instead: its hook returns the two extreme
+eigenvalues by Lanczos, and the dense A is built only for its jacobian.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from .errors import (
     SingularDiagonal,
 )
 from .spectral import (
+    MAX_DENSE_DIM,
     _REL_ASYM_TOL,
     _check_square,
     _rel_asymmetry,
@@ -470,7 +473,8 @@ def richardson_map(forward: FixedPointMap, y, relax: float) -> FixedPointMap:
     """Residual update x <- x + relax * (y - g(x)) for inverting y = g(x).
 
     Fixed points are exactly the solutions of g(x) = y. The Jacobian is
-    I - relax * J_g, so a spectrum certificate on g transfers directly.
+    I - relax * J_g, so a spectrum certificate on g transfers directly,
+    whether it gives the full spectrum or only the two extremes.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (forward.dim,):
@@ -512,6 +516,11 @@ _BLUR_SELF = 1.4
 _BLUR_WEIGHT = 0.1
 
 
+def _check_image_shape(height: int, width: int) -> None:
+    if height < 1 or width < 1:
+        raise InvalidInput(f"need height, width >= 1, got {height}, {width}")
+
+
 @lru_cache(maxsize=8)
 def blur_matrix(height: int, width: int) -> np.ndarray:
     """Dense linear blur operator C on flattened height x width images.
@@ -522,17 +531,21 @@ def blur_matrix(height: int, width: int) -> np.ndarray:
     + _BLUR_SELF I, where band(m) is the 0/1 matrix of |i - j| <= 3; it
     is exactly symmetric. Only the nonzero width x width blocks are
     written into a zero matrix, so the pages of the all-zero blocks are
-    never touched. Cached per shape; treat the result as read-only (it is
-    returned write-protected).
+    never touched. Images of more than MAX_DENSE_DIM pixels are refused
+    with InvalidInput rather than allocating the n^2 array. Cached per
+    shape; treat the result as read-only (it is returned write-protected).
     """
-    if height < 1 or width < 1:
-        raise InvalidInput(f"need height, width >= 1, got {height}, {width}")
+    _check_image_shape(height, width)
+    n = height * width
+    if n > MAX_DENSE_DIM:
+        raise InvalidInput(
+            f"dense blur matrix limited to height * width <= {MAX_DENSE_DIM}, got {n}"
+        )
 
     def band(m):
         i = np.arange(m)
         return (np.abs(i[:, None] - i) <= _BLUR_HALF).astype(float)
 
-    n = height * width
     rows, cols = np.nonzero(band(height))
     C = np.zeros((n, n))
     C.reshape(height, width, height, width)[rows, :, cols, :] = _BLUR_WEIGHT * band(width)
@@ -562,29 +575,41 @@ def _blur(x, height: int, width: int) -> np.ndarray:
     return box.ravel()
 
 
-@lru_cache(maxsize=8)
 def blur_map(height: int, width: int) -> FixedPointMap:
     """Saturating blur g(x) = sigmoid(C x) on flattened images.
 
-    eval and the slope of the Jacobian compute C x matrix-free (_blur);
-    the dense blur_matrix serves only the jacobian and spectrum hooks.
-    The Jacobian diag(s (1 - s)) C has strictly positive scaling over the
-    symmetric blur matrix, so the spectrum certificate always applies.
-    Cached per shape like blur_matrix, so the symmetry check of C runs
-    once per shape, not once per deblurred image.
+    eval, the slope q = s (1 - s) of the Jacobian diag(q) C and the
+    spectrum certificate all apply C matrix-free (_blur). The hook
+    returns the smallest and the largest eigenvalue of diag(q) C by
+    Lanczos on sqrt(q) C sqrt(q), which C's exact symmetry and q >= 0
+    make real, at any image size. Only the jacobian hook builds the dense
+    blur_matrix, so a run that estimates its range never forms it, and
+    that hook alone is limited to MAX_DENSE_DIM pixels.
     """
-    C = blur_matrix(height, width)
+    _check_image_shape(height, width)
+
+    def blur(x):
+        return _blur(x, height, width)
 
     def step(x):
-        return sigmoid(_blur(x, height, width))
+        return sigmoid(blur(x))
 
     def slope(x):
         s = step(x)
         return s * (1.0 - s)
 
-    jac, spectrum = _factored_jacobian(C, slope)
+    def jacobian(x):
+        return slope(x)[:, None] * blur_matrix(height, width)
+
+    def spectrum(x):
+        return _similarity_spectrum(blur, slope(x))
+
     return FixedPointMap(
-        dim=C.shape[0], eval=step, jacobian=jac, jacobian_spectrum=spectrum, name="sigmoid-blur"
+        dim=height * width,
+        eval=step,
+        jacobian=jacobian,
+        jacobian_spectrum=spectrum,
+        name="sigmoid-blur",
     )
 
 

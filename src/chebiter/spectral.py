@@ -25,6 +25,7 @@ from .errors import (
     InvalidRange,
     NonFiniteValue,
     NotAFixedPoint,
+    NotConverged,
     NotSymmetric,
     SpectrumNotCertifiedReal,
 )
@@ -45,13 +46,21 @@ __all__ = [
     "estimate_eigen_range",
 ]
 
-# Largest n the dense symmetric eigensolvers accept: symmetric_eigenvalues,
-# the similarity spectrum behind every jacobian_spectrum hook and the dense
-# path of estimate_eigen_range. Their O(n^2) memory and O(n^3) time were
-# only checked up to this size.
+# Largest n the dense paths accept: symmetric_eigenvalues, the similarity
+# spectrum of a dense A and the dense path of estimate_eigen_range. Their
+# O(n^2) memory and O(n^3) time were only checked up to this size. A map
+# that gives A as a matvec (the blur) is certified by Lanczos, without cap.
 MAX_DENSE_DIM = 1024
 
 _REL_ASYM_TOL = 1e-10
+
+# Constant stopping rules of _lanczos_extremes: the start vector's seed, the
+# bound on both extreme Ritz residuals relative to the largest |Ritz value|,
+# the steps between two Ritz checks, and the step cap.
+_LANCZOS_SEED = 0
+_LANCZOS_TOL = 1e-12
+_LANCZOS_CHECK = 20
+_LANCZOS_MAX_STEPS = 1000
 
 
 def chebyshev_eval(x, degree: int):
@@ -281,19 +290,31 @@ def real_spectrum_via_similarity(A, q) -> np.ndarray:
     return _similarity_spectrum(_check_symmetric(A, "A"), q)
 
 
-def _similarity_spectrum(A: np.ndarray, q) -> np.ndarray:
-    """real_spectrum_via_similarity for an A already known to be a finite
-    square float array with relative asymmetry within _REL_ASYM_TOL, as
-    when a map builder checked it once; q is checked on every call."""
-    n = A.shape[0]
-    _check_dense_size(n)
+def _similarity_spectrum(A, q) -> np.ndarray:
+    """Real eigenvalues of diag(q) A, including its smallest and largest,
+    for symmetric A and nonnegative q; q is checked on every call.
+
+    How A is given picks the algorithm. A dense ndarray, already known to
+    be a finite square float array with relative asymmetry within
+    _REL_ASYM_TOL (as when a map builder checked it once), gets the full
+    ascending spectrum from eigvalsh, within the MAX_DENSE_DIM cap. A
+    matvec v -> A v gets only the smallest and the largest eigenvalue,
+    from _lanczos_extremes on v -> sqrt(q) * A(sqrt(q) * v), at any size.
+    """
+    dense = isinstance(A, np.ndarray)
     q = np.asarray(q, dtype=float)
+    n = A.shape[0] if dense else q.size
+    if dense:
+        _check_dense_size(n)
     if q.shape != (n,):
         raise DimensionError(f"q has shape {q.shape}, expected ({n},)")
     if not np.all(np.isfinite(q)):
         raise NonFiniteValue("q has non-finite entries")
     if np.any(q < 0.0):
         raise InvalidInput("q must be nonnegative for the similarity to be real")
+    if not dense:
+        s = np.sqrt(q)
+        return _lanczos_extremes(lambda v: s * A(s * v), n)
 
     support = q > 0.0
     k = int(np.count_nonzero(support))
@@ -305,6 +326,55 @@ def _similarity_spectrum(A: np.ndarray, q) -> np.ndarray:
     core = (s[:, None] * A_s) * s[None, :]
     lam = np.linalg.eigvalsh((core + core.T) / 2.0)
     return np.sort(np.concatenate([lam, np.zeros(n - k)]))
+
+
+def _lanczos_extremes(matvec, n: int) -> np.ndarray:
+    """Smallest and largest eigenvalue of a symmetric operator on R^n, as
+    an array of two.
+
+    Lanczos (1950) from a fixed-seed normal start, with the three-term
+    recurrence followed by one Gram-Schmidt pass against every stored
+    vector (full reorthogonalization). Every _LANCZOS_CHECK steps, and
+    when beta_m falls below _LANCZOS_TOL max |alpha|, the tridiagonal
+    T_m is diagonalized; the run stops once both extreme Ritz residuals
+    beta_m |s_m| are at most _LANCZOS_TOL max |theta|, or when m = n,
+    where the Ritz values are the spectrum. The same operator gives the
+    same bits. Raises NonFiniteValue on a non-finite product and
+    NotConverged when min(n, _LANCZOS_MAX_STEPS) steps do not meet the
+    rule; the stored basis is at most that many vectors of length n.
+    """
+    limit = min(n, _LANCZOS_MAX_STEPS)
+    V = np.empty((limit, n))
+    alpha = np.empty(limit)
+    beta = np.empty(limit)
+    v = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
+    v /= np.linalg.norm(v)
+    alpha_max = 0.0
+    for k in range(limit):
+        m = k + 1
+        V[k] = v
+        w = np.asarray(matvec(v), dtype=float)
+        if not np.all(np.isfinite(w)):
+            raise NonFiniteValue(f"operator returned non-finite values at Lanczos step {m}")
+        alpha[k] = v @ w
+        alpha_max = max(alpha_max, abs(alpha[k]))
+        w -= alpha[k] * v
+        if k:
+            w -= beta[k - 1] * V[k - 1]
+        w -= (V[:m] @ w) @ V[:m]
+        beta[k] = np.linalg.norm(w)
+        if m % _LANCZOS_CHECK == 0 or m == limit or beta[k] <= _LANCZOS_TOL * alpha_max:
+            off = beta[: m - 1]
+            theta, S = np.linalg.eigh(np.diag(alpha[:m]) + np.diag(off, 1) + np.diag(off, -1))
+            ends = [0, -1]
+            residual = beta[k] * np.abs(S[-1, ends])
+            if m == n or np.all(residual <= _LANCZOS_TOL * np.max(np.abs(theta[ends]))):
+                return theta[ends]
+        v = w / beta[k]
+    raise NotConverged(
+        f"Lanczos did not resolve the extreme eigenvalues within {limit} steps "
+        f"(n = {n}); extreme Ritz residuals {residual[0]:.3e}, {residual[1]:.3e}"
+    )
 
 
 def _verify_fixed_point(fpmap: FixedPointMap, x_star: np.ndarray, fp_tol: float) -> np.ndarray:
@@ -336,7 +406,11 @@ def estimate_eigen_range(
     Resolution order:
 
     * a map that certifies its Jacobian spectrum (jacobian_spectrum hook)
-      is trusted directly, B eigenvalues being 1 minus that spectrum;
+      is trusted directly, B eigenvalues being 1 minus that spectrum. The
+      hook returns real eigenvalues of J(x) that include the smallest and
+      the largest: the full spectrum for a dense map, the two extremes for
+      the blur, whose certificate is matrix-free and has no size cap. Its
+      result must be a finite 1-D array of 1 to dim values;
     * otherwise the Jacobian comes from the map's analytic jacobian or
       central differences, and the range is the extreme exact eigenvalues
       of the symmetric part of B, within the MAX_DENSE_DIM cap. A
@@ -349,9 +423,10 @@ def estimate_eigen_range(
 
     if fpmap.jacobian_spectrum is not None:
         eig_j = np.asarray(fpmap.jacobian_spectrum(x), dtype=float)
-        if eig_j.ndim != 1 or eig_j.size != fpmap.dim:
+        if eig_j.ndim != 1 or not 1 <= eig_j.size <= fpmap.dim:
             raise DimensionError(
-                f"jacobian_spectrum returned shape {eig_j.shape}, expected ({fpmap.dim},)"
+                f"jacobian_spectrum returned shape {eig_j.shape}, expected 1 to "
+                f"{fpmap.dim} values"
             )
         if not np.all(np.isfinite(eig_j)):
             raise NonFiniteValue("jacobian_spectrum returned non-finite values")

@@ -196,6 +196,12 @@ class TestDeblurDriver:
             img = read_pgm(str(tmp_path / f"deblur_{name}.pgm"))
             assert img.shape == (28, 28)
 
+    def test_never_builds_dense_blur(self):
+        # the certificate is matrix-free; only the jacobian hook needs C
+        chebiter.problems.blur_matrix.cache_clear()
+        run_deblur(None, seeds=1, iters=8)
+        assert chebiter.problems.blur_matrix.cache_info().misses == 0
+
 
 class TestCliExitCodes:
     def test_version(self, capsys):
@@ -224,6 +230,15 @@ class TestCliExitCodes:
         # the factors need a > 0 only; a range reaching past 2 is a range
         assert main(["deblur", "--range-b", "2.5", "--seeds", "1", "--iters", "8"]) == EX_OK
         assert "range_b=2.5" in capsys.readouterr().out
+
+    def test_deblur_beyond_dense_cap(self, tmp_path, capsys):
+        # 40 x 40 = 1600 pixels is past MAX_DENSE_DIM; the range is certified
+        argv = ["deblur", "--height", "40", "--width", "40", "--seeds", "1", "--iters", "8"]
+        assert main(argv + ["--out", str(tmp_path)]) == EX_OK
+        header, row = (tmp_path / "deblur_summary.csv").read_text().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        a, b = float(fields["measured_a"]), float(fields["measured_b"])
+        assert 0.0 < a < b < 1.0
 
     @pytest.mark.parametrize("size", [("2", "5"), ("5", "2"), ("2", "2")])
     def test_deblur_on_tiny_image(self, size, tmp_path, capsys):
@@ -381,7 +396,7 @@ PACKAGE_NAMES = """
     write_trace_csv ExperimentResult bounds_rows run_deblur run_ista run_jacobi run_tanh_gram
     run_tanh_solve run_toy_power ChebiterError ConfigError DegenerateOperator DimensionError
     DomainError FormatError InvalidInput InvalidRange NonFiniteValue NotAFixedPoint
-    NotSymmetric SingularDiagonal SpectrumNotCertifiedReal UnsupportedFormat __version__
+    NotConverged NotSymmetric SingularDiagonal SpectrumNotCertifiedReal UnsupportedFormat __version__
 """.split()
 
 
@@ -407,7 +422,7 @@ class TestSurface:
         assert set(settings) == {k.replace("-", "_") for k in CLI_FLAGS[command]}
 
     def test_package_exports(self):
-        assert len(PACKAGE_NAMES) == 80
+        assert len(PACKAGE_NAMES) == 81
         assert sorted(chebiter.__all__) == sorted(PACKAGE_NAMES)
         for name in PACKAGE_NAMES:
             assert hasattr(chebiter, name), name

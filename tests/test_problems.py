@@ -32,6 +32,7 @@ from chebiter import (
     plain_schedule,
     power_map,
     problems,
+    real_spectrum_via_similarity,
     richardson_map,
     run_inertial,
     sigmoid,
@@ -571,10 +572,44 @@ class TestBlur:
         rng = np.random.default_rng(12)
         x = rng.uniform(0.1, 0.9, size=64)
         assert np.max(np.abs(jacobian_fd(fpmap.eval, x) - fpmap.jacobian(x))) <= 1e-6
-        ours = np.sort(fpmap.jacobian_spectrum(x))
+        ours = fpmap.jacobian_spectrum(x)
         theirs = np.linalg.eigvals(fpmap.jacobian(x))
         assert np.max(np.abs(theirs.imag)) <= 1e-8
-        assert np.max(np.abs(ours - np.sort(theirs.real))) <= 1e-6
+        assert ours.shape == (2,)
+        assert np.max(np.abs(ours - [theirs.real.min(), theirs.real.max()])) <= 1e-6
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 5), (8, 8), (12, 12), (28, 28)])
+    def test_lanczos_certificate_matches_dense_spectrum(self, shape):
+        # Pixels at 100 saturate the sigmoid, so their slope q is exactly 0.
+        n = shape[0] * shape[1]
+        C = blur_matrix(*shape)
+        hook = blur_map(*shape).jacobian_spectrum
+        x = np.random.default_rng(n).uniform(0.0, 1.0, n)
+        saturated = x.copy()
+        saturated[::3] = 100.0
+        for point in (x, saturated):
+            s = sigmoid(C @ point)
+            q = s * (1.0 - s)
+            dense = real_spectrum_via_similarity(C, q)
+            ours = hook(point)
+            scale = np.max(np.abs(dense))
+            assert np.max(np.abs(ours - dense[[0, -1]])) <= 1e-12 * scale
+            assert np.array_equal(hook(point), ours)
+        assert np.any(q == 0.0)
+
+    def test_dense_matrix_only_within_cap(self):
+        # 40 x 40 is past MAX_DENSE_DIM: the dense C and the jacobian hook are
+        # refused, the matrix-free range certificate is not.
+        with pytest.raises(InvalidInput):
+            blur_matrix(40, 40)
+        img = gen_synthetic_image(40, 40, seed=0).ravel()
+        forward = blur_map(40, 40)
+        with pytest.raises(InvalidInput):
+            forward.jacobian(img)
+        r = estimate_eigen_range(deblur_map(forward(img), 40, 40), img)
+        assert 0.0 < r.a < r.b < 1.0
+        with pytest.raises(InvalidInput):
+            blur_map(0, 5)
 
     def test_deblur_fixed_point_and_spectrum_composition(self):
         img = gen_synthetic_image(12, 12, seed=3)

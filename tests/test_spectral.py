@@ -14,6 +14,7 @@ from chebiter import (
     InvalidRange,
     NonFiniteValue,
     NotAFixedPoint,
+    NotConverged,
     NotSymmetric,
     SpectrumNotCertifiedReal,
     StopCriteria,
@@ -33,6 +34,7 @@ from chebiter import (
     plain_schedule,
     real_spectrum_via_similarity,
     run_inertial,
+    spectral,
     symmetric_eigenvalues,
 )
 
@@ -340,6 +342,35 @@ class TestRealSpectrumViaSimilarity:
             ours = real_spectrum_via_similarity(A, qq)
             assert ours.tobytes() == with_copy(A, qq).tobytes()
 
+    def test_matvec_gets_lanczos_extremes(self):
+        # A given as a matvec gets only the two extremes; they agree with the
+        # dense spectrum, on indefinite A and with exact zeros in q, both when
+        # the Krylov space fills R^n and when the Ritz residual test stops it.
+        rng = np.random.default_rng(67)
+        pairs = [scaled_symmetric_pair(rng, n) for n in (2, 5, 9, 12)]
+        M = rng.normal(size=(300, 300))
+        q = rng.uniform(0.0, 1.0, size=300)
+        q[::4] = 0.0
+        pairs.append(((M + M.T) / 2.0, q))
+        for A, q in pairs:
+            dense = real_spectrum_via_similarity(A, q)
+            ours = spectral._similarity_spectrum(lambda v: A @ v, q)
+            assert ours.shape == (2,)
+            assert np.max(np.abs(ours - dense[[0, -1]])) <= 1e-12 * np.max(np.abs(dense))
+            assert np.array_equal(spectral._similarity_spectrum(lambda v: A @ v, q), ours)
+        assert np.array_equal(spectral._similarity_spectrum(lambda v: v, np.zeros(4)), [0.0, 0.0])
+
+    def test_lanczos_failures_are_typed(self, monkeypatch):
+        with pytest.raises(NonFiniteValue):
+            spectral._similarity_spectrum(lambda v: np.full(5, np.nan), np.ones(5))
+        with pytest.raises(DimensionError):
+            spectral._similarity_spectrum(lambda v: v, np.ones((2, 2)))
+        # a cap below n that the stopping rule cannot meet
+        monkeypatch.setattr(spectral, "_LANCZOS_MAX_STEPS", 5)
+        d = np.linspace(1.0, 2.0, 50)
+        with pytest.raises(NotConverged):
+            spectral._similarity_spectrum(lambda v: d * v, np.ones(50))
+
     def test_all_zero_q(self):
         A = np.eye(4)
         assert np.array_equal(real_spectrum_via_similarity(A, np.zeros(4)), np.zeros(4))
@@ -404,6 +435,26 @@ class TestEstimateEigenRange:
             r = estimate_eigen_range(m, np.zeros(2))
         assert r.a == pytest.approx(0.34648735183648424, rel=1e-10)
         assert r.b == pytest.approx(1.7459126481635158, rel=1e-10)
+
+    def test_spectrum_hook_may_return_only_extremes(self):
+        # the hook returns real eigenvalues of J that include the smallest and
+        # the largest: 1 to dim finite values in a vector
+        A = np.diag([0.2, 0.5, 0.7])
+        for eigs, error in (
+            ([0.7, 0.2], None),
+            ([0.5], None),
+            ([], DimensionError),
+            ([0.2, 0.5, 0.7, 0.9], DimensionError),
+            ([[0.2, 0.7]], DimensionError),
+            ([0.2, np.nan], NonFiniteValue),
+        ):
+            m = affine_fp_map(A, np.zeros(3), jacobian_spectrum=lambda x, e=eigs: np.array(e))
+            if error is None:
+                r = estimate_eigen_range(m, np.zeros(3))
+                assert (r.a, r.b) == (1.0 - max(eigs), 1.0 - min(eigs))
+            else:
+                with pytest.raises(error):
+                    estimate_eigen_range(m, np.zeros(3))
 
     def test_dense_path_checks_and_cap(self):
         # x -> 0.5 x for x >= 0, NaN below: the central differences at the
