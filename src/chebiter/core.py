@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -101,10 +101,6 @@ class EigenRange:
     def halfwidth(self) -> float:
         return (self.b - self.a) / 2.0
 
-    @property
-    def width(self) -> float:
-        return self.b - self.a
-
     def clipped(self) -> "EigenRange":
         """Lift both ends to at least 1e-6.
 
@@ -145,12 +141,6 @@ class InertialSchedule:
             raise NonFiniteValue(f"schedule factors must be finite, got {factors}")
         object.__setattr__(self, "period", int(self.period))
         object.__setattr__(self, "factors", factors)
-
-    def factor_at(self, k: int) -> float:
-        """Factor used at iteration k (k >= 0), wrapping around the period."""
-        if k < 0:
-            raise InvalidInput(f"iteration index must be >= 0, got {k}")
-        return self.factors[k % self.period]
 
 
 def chebyshev_roots(rng: EigenRange, period: int) -> np.ndarray:
@@ -263,7 +253,7 @@ class IterationTrace:
     errors[k] is |x_k - x_ref| for k = 0 .. steps, so len(errors) is
     steps + 1. factors_used[k] is the factor applied at step k. When the
     run was stopped by divergence the recorded errors still cover only the
-    finite iterates. iterates is populated only when requested.
+    finite iterates.
     """
 
     errors: np.ndarray
@@ -272,8 +262,6 @@ class IterationTrace:
     converged: bool
     stop_reason: StopReason
     x_final: np.ndarray
-    iterates: Optional[list] = None
-    x_ref_was_final: bool = field(default=False)
 
     def __post_init__(self) -> None:
         if len(self.errors) != self.steps + 1:
@@ -326,7 +314,6 @@ def run_inertial(
     x0: np.ndarray,
     stop: StopCriteria,
     x_ref: Optional[np.ndarray] = None,
-    store_iterates: bool = False,
 ) -> IterationTrace:
     """Run the relaxed iteration from x0 under the given schedule.
 
@@ -353,9 +340,8 @@ def run_inertial(
         raise InvalidInput(
             "error_target needs x_ref: without it the errors are known only after the run"
         )
-    keep_iterates = store_iterates or ref is None
 
-    iterates = [x.copy()] if keep_iterates else None
+    iterates = [x.copy()] if ref is None else None
     errors = [] if ref is None else [_norm(x - ref)]
     factors_used = []
     stop_reason = StopReason.MAX_ITERS
@@ -380,7 +366,7 @@ def run_inertial(
             factors_used.append(w)
             if ref is not None:
                 errors.append(_norm(x_new - ref))
-            if keep_iterates:
+            if ref is None:
                 iterates.append(x_new.copy())
             step_norm = _norm(x_new - x)
             x = x_new
@@ -403,6 +389,4 @@ def run_inertial(
         converged=stop_reason in (StopReason.TOLERANCE, StopReason.TARGET),
         stop_reason=stop_reason,
         x_final=x,
-        iterates=iterates if store_iterates else None,
-        x_ref_was_final=x_ref is None,
     )

@@ -5,7 +5,6 @@ __all__ = [
     "ConfigError",
     "DegenerateOperator",
     "DimensionError",
-    "DomainError",
     "FormatError",
     "InvalidInput",
     "InvalidRange",
@@ -57,10 +56,6 @@ class SingularDiagonal(ChebiterError, ValueError):
 
 class DegenerateOperator(ChebiterError, ValueError):
     """Operator is identically zero or otherwise unusable for the requested build."""
-
-
-class DomainError(ChebiterError, ValueError):
-    """Input lies outside the mathematical domain of the map."""
 
 
 class FormatError(ChebiterError, ValueError):

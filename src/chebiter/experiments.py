@@ -175,7 +175,7 @@ def run_jacobi(
     """
     result = ExperimentResult("jacobi")
     inst = gen_jacobi_instance(n, seed)
-    fpmap, _ = jacobi_map(inst.P, inst.q)
+    fpmap = jacobi_map(inst.P, inst.q)
     x_star = np.zeros(n)
     rng = estimate_eigen_range(fpmap, x_star).clipped()
     schedules = _standard_schedules(rng, periods)
@@ -440,10 +440,15 @@ def run_deblur(
     """Image deblurring through the saturating blur model.
 
     The observation is y = sigmoid(C x); the residual iteration starts at
-    y itself. The schedule uses a fixed conservative range rather than a
-    per-image estimate, which is how this solver would run when the true
-    image (and so the true range) is unknown. Images for the first seed
-    are saved as PGM files alongside the traces.
+    y itself. The schedule uses a fixed range rather than a per-image
+    estimate, which is how this solver would run when the true image (and
+    so the true range) is unknown. The default range does not enclose the
+    spectrum: at the defaults the measured lower end is 0.012-0.051 on
+    every seed, below range_a, and the upper end is above range_b on
+    seeds 5 and 9 (1.003 and 1.030). The period contraction bound of
+    (range_a, range_b) therefore does not cover the modes outside it; the
+    schedule still beats the plain iteration on every default seed.
+    Images for the first seed are saved as PGM files alongside the traces.
     """
     if seeds < 1:
         raise InvalidInput(f"seeds must be >= 1, got {seeds}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -22,7 +21,6 @@ from .core import FixedPointMap, _norm
 from .errors import (
     DegenerateOperator,
     DimensionError,
-    DomainError,
     InvalidInput,
     NonFiniteValue,
     SingularDiagonal,
@@ -63,13 +61,15 @@ __all__ = [
 ]
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Deterministic generator stream for (seed, trial).
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """Deterministic generator stream for a seed.
 
     Every generator in this module derives its stream this way, so an
-    instance is pinned by the pair alone regardless of platform.
+    instance is pinned by its seed alone regardless of platform. The
+    spawn key (0,) is kept from when a second index chose among streams:
+    without it every seeded instance, and so every study output, changes.
     """
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
 
 
 def sigmoid(u):
@@ -188,12 +188,12 @@ class SparseRecoveryInstance:
 
 
 def gen_sparse_instance(
-    n: int, m: int, density: float, noise_sigma: float, seed: int, trial: int = 0
+    n: int, m: int, density: float, noise_sigma: float, seed: int
 ) -> SparseRecoveryInstance:
     """Random sparse recovery instance.
 
     Draw order is fixed (measurement matrix, support mask, signal values,
-    noise) so (seed, trial) pins the instance bit for bit. The support is
+    noise) so the seed pins the instance bit for bit. The support is
     Bernoulli(density) per coordinate, values standard normal.
     """
     if n < 1 or m < 1:
@@ -202,7 +202,7 @@ def gen_sparse_instance(
         raise InvalidInput(f"density must be in [0, 1], got {density}")
     if noise_sigma < 0.0:
         raise InvalidInput(f"noise_sigma must be >= 0, got {noise_sigma}")
-    rng = _trial_rng(seed, trial)
+    rng = _seeded_rng(seed)
     M = rng.standard_normal((m, n))
     mask = rng.random(n) < density
     x = rng.standard_normal(n) * mask
@@ -215,8 +215,9 @@ class ProximalProblem:
     """Relaxable shrinkage iteration x <- shrink(A x + b) for one instance.
 
     A = I - gamma M^T M is symmetric with gamma = 1 / lambda_max(M^T M),
-    tau = reg_weight * gamma. The fixed-point map uses the smooth
-    shrinkage; fista_run reuses gamma and tau with the exact one.
+    and the shrinkage threshold tau equals gamma (unit regularization
+    weight). The fixed-point map uses the smooth shrinkage; fista_run
+    reuses gamma and tau with the exact one.
     """
 
     instance: SparseRecoveryInstance
@@ -227,7 +228,7 @@ class ProximalProblem:
     tau: float
 
 
-def build_ista(instance: SparseRecoveryInstance, reg_weight: float = 1.0) -> ProximalProblem:
+def build_ista(instance: SparseRecoveryInstance) -> ProximalProblem:
     """Shrinkage-based fixed-point iteration for a sparse recovery instance.
 
     The step size is 1 over the largest eigenvalue of M^T M, computed
@@ -236,8 +237,6 @@ def build_ista(instance: SparseRecoveryInstance, reg_weight: float = 1.0) -> Pro
     (in [0, 1]) times symmetric A, so the map carries a certified real
     spectrum.
     """
-    if reg_weight <= 0.0:
-        raise InvalidInput(f"reg_weight must be > 0, got {reg_weight}")
     M, y = instance.M, instance.y
     n = instance.n
     G = M.T @ M
@@ -246,7 +245,7 @@ def build_ista(instance: SparseRecoveryInstance, reg_weight: float = 1.0) -> Pro
     if lam_max <= 0.0:
         raise DegenerateOperator("measurement operator is zero; no step size exists")
     gamma = 1.0 / lam_max
-    tau = reg_weight * gamma
+    tau = gamma
     A = np.eye(n) - gamma * G
     b = gamma * (M.T @ y)
 
@@ -272,23 +271,18 @@ def fista_momentum(t: float) -> float:
     return (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
 
 
-def fista_run(
-    problem: ProximalProblem, iters: int, x_ref: Optional[np.ndarray] = None
-) -> FistaResult:
+def fista_run(problem: ProximalProblem, iters: int) -> FistaResult:
     """Accelerated proximal gradient baseline with exact soft shrinkage.
 
     Uses the step size gamma and threshold tau of the problem build_ista
     made. Starts from zero with unit momentum. Errors are measured against
-    x_ref, defaulting to the true signal of the instance.
+    the true signal of the instance.
     """
     if iters < 1:
         raise InvalidInput(f"iters must be >= 1, got {iters}")
     instance, gamma, tau = problem.instance, problem.gamma, problem.tau
-    M, y = instance.M, instance.y
+    M, y, ref = instance.M, instance.y, instance.x_true
     n = instance.n
-    ref = instance.x_true if x_ref is None else np.asarray(x_ref, dtype=float)
-    if ref.shape != (n,):
-        raise DimensionError(f"x_ref has shape {ref.shape}, expected ({n},)")
 
     x = np.zeros(n)
     z = x.copy()
@@ -303,13 +297,12 @@ def fista_run(
     return FistaResult(errors=np.asarray(errors), x_final=x, steps=int(iters))
 
 
-def jacobi_map(P, q) -> Tuple[FixedPointMap, np.ndarray]:
-    """Jacobi splitting for the linear system P x = q.
+def jacobi_map(P, q) -> FixedPointMap:
+    """Jacobi splitting x <- D^{-1}(q - (P - D) x) for the linear system P x = q.
 
-    Returns the fixed-point map x <- D^{-1}(q - (P - D) x) together with
-    the iteration matrix B = D^{-1} P whose eigenvalue range drives the
-    schedule. When P is symmetric with positive diagonal the map carries
-    the exact-spectrum certificate (D^{-1} P is diagonally scaled
+    Its Jacobian is I - B with B = D^{-1} P, whose eigenvalue range drives
+    the schedule. When P is symmetric with positive diagonal the map
+    carries the exact-spectrum certificate (D^{-1} P is diagonally scaled
     symmetric).
     """
     P = _check_square(P, "P")
@@ -325,14 +318,13 @@ def jacobi_map(P, q) -> Tuple[FixedPointMap, np.ndarray]:
     dinv = 1.0 / d
     R = P - np.diag(d)
     jac, spectrum = _factored_jacobian(P, lambda x: dinv, shift=1.0, scale=-1.0)
-    fpmap = FixedPointMap(
+    return FixedPointMap(
         dim=n,
         eval=lambda x: dinv * (q - R @ x),
         jacobian=jac,
         jacobian_spectrum=spectrum if np.all(d > 0.0) else None,
         name="jacobi",
     )
-    return fpmap, dinv[:, None] * P
 
 
 @dataclass(frozen=True)
@@ -344,7 +336,7 @@ class JacobiInstance:
     x0: np.ndarray
 
 
-def gen_jacobi_instance(n: int, seed: int, trial: int = 0) -> JacobiInstance:
+def gen_jacobi_instance(n: int, seed: int) -> JacobiInstance:
     """Random symmetric positive definite system P = I + M^T M.
 
     The entry scale 0.03 * sqrt(512 / n) of M keeps the eigenvalue
@@ -354,7 +346,7 @@ def gen_jacobi_instance(n: int, seed: int, trial: int = 0) -> JacobiInstance:
     """
     if n < 1:
         raise InvalidInput(f"need n >= 1, got {n}")
-    rng = _trial_rng(seed, trial)
+    rng = _seeded_rng(seed)
     M = rng.standard_normal((n, n)) * (0.03 * math.sqrt(512.0 / n))
     P = np.eye(n) + M.T @ M
     x0 = rng.standard_normal(n)
@@ -362,7 +354,7 @@ def gen_jacobi_instance(n: int, seed: int, trial: int = 0) -> JacobiInstance:
 
 
 def gen_gram_matrix(
-    n: int, std: float, seed: int, trial: int = 0, normalize_to: Optional[float] = None
+    n: int, std: float, seed: int, normalize_to: Optional[float] = None
 ) -> np.ndarray:
     """Random Gram matrix M^T M with M an n x n normal draw scaled by std.
 
@@ -374,7 +366,7 @@ def gen_gram_matrix(
         raise InvalidInput(f"need n >= 1, got {n}")
     if std <= 0.0:
         raise InvalidInput(f"std must be > 0, got {std}")
-    rng = _trial_rng(seed, trial)
+    rng = _seeded_rng(seed)
     M = rng.standard_normal((n, n)) * std
     G = M.T @ M
     if normalize_to is not None:
@@ -429,36 +421,22 @@ def tanh_equation_map(y) -> FixedPointMap:
     )
 
 
-def power_map(
-    p: float = 0.2, r: float = 0.5, clamp: bool = True, floor: float = 1e-9
-) -> FixedPointMap:
-    """Two-dimensional map (x1, x2) -> (x1^p + x2^r, x1^r + x2^p).
+def power_map() -> FixedPointMap:
+    """Two-dimensional map (x1, x2) -> (x1^p + x2^r, x1^r + x2^p), p = 0.2, r = 0.5.
 
-    With the default exponents the fixed point sits near (2.96, 2.96) on
-    the diagonal. Fractional powers need positive arguments: clamp=True
-    pins inputs at `floor` (iterations started in the positive quadrant
-    stay far from it), clamp=False raises DomainError instead. The
+    The fixed point sits near (2.96, 2.96) on the diagonal. Fractional
+    powers need positive arguments, so inputs are clamped at 1e-9
+    (iterations started in the positive quadrant stay far from it). The
     Jacobian uses the unclamped formula at the clamped point.
     """
-    if not (0.0 < p < 1.0 and 0.0 < r < 1.0):
-        raise InvalidInput(f"exponents must lie in (0, 1), got p={p}, r={r}")
-    if floor <= 0.0:
-        raise InvalidInput(f"floor must be > 0, got {floor}")
-
-    def _domain(x):
-        x = np.asarray(x, dtype=float)
-        if clamp:
-            return np.maximum(x, floor)
-        if np.any(x <= 0.0):
-            raise DomainError(f"power map needs positive components, got {x}")
-        return x
+    p, r = 0.2, 0.5
 
     def step(x):
-        x = _domain(x)
+        x = np.maximum(np.asarray(x, dtype=float), 1e-9)
         return np.array([x[0] ** p + x[1] ** r, x[0] ** r + x[1] ** p])
 
     def jac(x):
-        x = _domain(x)
+        x = np.maximum(np.asarray(x, dtype=float), 1e-9)
         return np.array(
             [
                 [p * x[0] ** (p - 1.0), r * x[1] ** (r - 1.0)],
@@ -521,7 +499,6 @@ def _check_image_shape(height: int, width: int) -> None:
         raise InvalidInput(f"need height, width >= 1, got {height}, {width}")
 
 
-@lru_cache(maxsize=8)
 def blur_matrix(height: int, width: int) -> np.ndarray:
     """Dense linear blur operator C on flattened height x width images.
 
@@ -532,8 +509,7 @@ def blur_matrix(height: int, width: int) -> np.ndarray:
     is exactly symmetric. Only the nonzero width x width blocks are
     written into a zero matrix, so the pages of the all-zero blocks are
     never touched. Images of more than MAX_DENSE_DIM pixels are refused
-    with InvalidInput rather than allocating the n^2 array. Cached per
-    shape; treat the result as read-only (it is returned write-protected).
+    with InvalidInput rather than allocating the n^2 array.
     """
     _check_image_shape(height, width)
     n = height * width
@@ -550,7 +526,6 @@ def blur_matrix(height: int, width: int) -> np.ndarray:
     C = np.zeros((n, n))
     C.reshape(height, width, height, width)[rows, :, cols, :] = _BLUR_WEIGHT * band(width)
     C.flat[:: n + 1] += _BLUR_SELF
-    C.setflags(write=False)
     return C
 
 
@@ -618,7 +593,7 @@ def deblur_map(y, height: int, width: int, relax: float = 0.8) -> FixedPointMap:
     return richardson_map(blur_map(height, width), y, relax)
 
 
-def gen_synthetic_image(height: int, width: int, seed: int, trial: int = 0) -> np.ndarray:
+def gen_synthetic_image(height: int, width: int, seed: int) -> np.ndarray:
     """Random test image: a dim background with a few bright blobs.
 
     Background level is uniform in (0.10, 0.18); two to four Gaussian
@@ -633,7 +608,7 @@ def gen_synthetic_image(height: int, width: int, seed: int, trial: int = 0) -> n
         raise InvalidInput(
             f"image must exceed {2 * margin} pixels per side, got {height}x{width}"
         )
-    rng = _trial_rng(seed, trial)
+    rng = _seeded_rng(seed)
     base = rng.uniform(0.10, 0.18)
     img = np.full((height, width), base)
     yy, xx = np.mgrid[0:height, 0:width]

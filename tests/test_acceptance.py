@@ -245,7 +245,7 @@ def test_criterion_09_packaged_maps_contract():
     ranges = {}
 
     inst = gen_jacobi_instance(64, 0)
-    fpmap, _ = jacobi_map(inst.P, inst.q)
+    fpmap = jacobi_map(inst.P, inst.q)
     ranges["jacobi"] = estimate_eigen_range(fpmap, np.zeros(64))
 
     A = gen_gram_matrix(128, 0.022, 0, normalize_to=0.97)
@@ -322,7 +322,7 @@ def test_criterion_11_infrastructure(tmp_path):
         (tanh_affine_map(gen_gram_matrix(16, 0.1, 2)), rng.normal(size=16) * 0.3),
         (tanh_equation_map(np.array([0.1, 0.6])), rng.normal(size=2) * 0.2),
         (power_map(), np.array([2.9, 2.9])),
-        (jacobi_map(gen_jacobi_instance(16, 4).P, np.zeros(16))[0], rng.normal(size=16)),
+        (jacobi_map(gen_jacobi_instance(16, 4).P, np.zeros(16)), rng.normal(size=16)),
         (blur_map(12, 12), img.ravel()),
         (deblur_map(y12, 12, 12), img.ravel() + 0.01 * rng.normal(size=144)),
         (build_ista(sp).fpmap, rng.normal(size=32) * 0.5),

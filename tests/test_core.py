@@ -40,7 +40,6 @@ class TestEigenRange:
         r = EigenRange(0.1, 0.9)
         assert r.center == 0.5
         assert r.halfwidth == pytest.approx(0.4)
-        assert r.width == pytest.approx(0.8)
 
     def test_degenerate_interval_allowed(self):
         r = EigenRange(0.7, 0.7)
@@ -161,10 +160,6 @@ class TestConstantSor:
 
 
 class TestInertialSchedule:
-    def test_factor_at_wraps(self):
-        s = InertialSchedule(period=3, factors=(1.0, 2.0, 3.0))
-        assert [s.factor_at(k) for k in range(7)] == [1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0]
-
     def test_rejects_mismatched_length(self):
         with pytest.raises(InvalidInput):
             InertialSchedule(period=2, factors=(1.0,))
@@ -172,11 +167,6 @@ class TestInertialSchedule:
     def test_rejects_nonfinite_factor(self):
         with pytest.raises(NonFiniteValue):
             InertialSchedule(period=1, factors=(math.inf,))
-
-    def test_rejects_negative_index(self):
-        s = plain_schedule()
-        with pytest.raises(InvalidInput):
-            s.factor_at(-1)
 
     def test_plain_schedule_is_all_ones(self):
         s = plain_schedule()
@@ -245,10 +235,10 @@ class TestRunInertial:
             x = m(x)
             manual.append(x.copy())
 
-        tr = run_inertial(m, ones, x0, StopCriteria(max_iters=25), store_iterates=True)
-        assert tr.steps == 25
-        for got, want in zip(tr.iterates, manual):
-            assert np.array_equal(got, want)
+        for k in range(1, 26):
+            tr = run_inertial(m, ones, x0, StopCriteria(max_iters=k))
+            assert tr.steps == k
+            assert np.array_equal(tr.x_final, manual[k])
 
     def test_identity_map_stops_after_one_step(self):
         m = FixedPointMap(dim=2, eval=lambda x: x.copy())
@@ -287,7 +277,6 @@ class TestRunInertial:
     def test_reference_defaults_to_final_iterate(self):
         m = affine_map(np.eye(1) * 0.5, np.array([1.0]))
         tr = run_inertial(m, plain_schedule(), np.zeros(1), StopCriteria(max_iters=30))
-        assert tr.x_ref_was_final
         assert tr.errors[-1] == 0.0
         assert tr.errors[0] == pytest.approx(np.linalg.norm(tr.x_final - np.zeros(1)))
 

@@ -196,11 +196,12 @@ class TestDeblurDriver:
             img = read_pgm(str(tmp_path / f"deblur_{name}.pgm"))
             assert img.shape == (28, 28)
 
-    def test_never_builds_dense_blur(self):
+    def test_never_builds_dense_blur(self, monkeypatch):
         # the certificate is matrix-free; only the jacobian hook needs C
-        chebiter.problems.blur_matrix.cache_clear()
+        calls = []
+        monkeypatch.setattr(chebiter.problems, "blur_matrix", lambda *a: calls.append(a))
         run_deblur(None, seeds=1, iters=8)
-        assert chebiter.problems.blur_matrix.cache_info().misses == 0
+        assert calls == []
 
 
 class TestCliExitCodes:
@@ -395,7 +396,7 @@ PACKAGE_NAMES = """
     TRACE_HEADER TraceRecord load_config parse_config read_pgm read_trace_csv write_pgm
     write_trace_csv ExperimentResult bounds_rows run_deblur run_ista run_jacobi run_tanh_gram
     run_tanh_solve run_toy_power ChebiterError ConfigError DegenerateOperator DimensionError
-    DomainError FormatError InvalidInput InvalidRange NonFiniteValue NotAFixedPoint
+    FormatError InvalidInput InvalidRange NonFiniteValue NotAFixedPoint
     NotConverged NotSymmetric SingularDiagonal SpectrumNotCertifiedReal UnsupportedFormat __version__
 """.split()
 
@@ -422,7 +423,7 @@ class TestSurface:
         assert set(settings) == {k.replace("-", "_") for k in CLI_FLAGS[command]}
 
     def test_package_exports(self):
-        assert len(PACKAGE_NAMES) == 81
+        assert len(PACKAGE_NAMES) == 80
         assert sorted(chebiter.__all__) == sorted(PACKAGE_NAMES)
         for name in PACKAGE_NAMES:
             assert hasattr(chebiter, name), name

@@ -9,7 +9,6 @@ import pytest
 from chebiter import (
     DegenerateOperator,
     DimensionError,
-    DomainError,
     InvalidInput,
     NonFiniteValue,
     ProximalProblem,
@@ -201,11 +200,34 @@ class TestNormsMatchLinalg:
         assert fista_run(problem, 60).errors.tobytes() == np.asarray(errors).tobytes()
 
 
+class TestSeededStreams:
+    # Exact bits of a few raw draws at seed 0, one generator each; any change
+    # to how a seed becomes a stream moves every study's output. Only values
+    # whose bits no BLAS summation order or libm function can move are pinned.
+    def test_seed_zero_draws_are_pinned(self):
+        sparse = gen_sparse_instance(6, 4, 0.5, 0.1, seed=0)
+        assert sparse.M[0].tobytes() == bytes.fromhex(
+            "fa59bfaf5b19f73fd0e771e596abecbfa0ead6e7f28ce73f"
+            "16f864058612783fc407bc53e74eeb3fb88063f4f199c43f"
+        )
+        assert sparse.x_true.tobytes() == bytes.fromhex(
+            "4e1ac26fe3c8de3f0000000000000080000000000000008090a63b507bd7f0bf"
+            "00000000000000000000000000000080"
+        )
+        assert gen_jacobi_instance(4, seed=0).x0.tobytes() == bytes.fromhex(
+            "c07ae4a9eb85e03fe9b5fd714e11bcbf829e98cecbd3ea3fee7ff755a311e2bf"
+        )
+        assert gen_gram_matrix(1, 0.5, seed=0).tobytes() == bytes.fromhex("a95fece487ace03f")
+        # the corner pixel is the background level: no blob reaches it
+        img = gen_synthetic_image(12, 12, seed=0)
+        assert img[0, 0].tobytes() == bytes.fromhex("4241df7aa774c63f")
+
+
 class TestSparseInstances:
     def test_reproducible_and_trial_dependent(self):
         a = gen_sparse_instance(64, 32, 0.1, 0.1, seed=3)
         b = gen_sparse_instance(64, 32, 0.1, 0.1, seed=3)
-        c = gen_sparse_instance(64, 32, 0.1, 0.1, seed=3, trial=1)
+        c = gen_sparse_instance(64, 32, 0.1, 0.1, seed=4)
         assert np.array_equal(a.M, b.M) and np.array_equal(a.y, b.y)
         assert not np.array_equal(a.M, c.M)
 
@@ -295,8 +317,6 @@ class TestBuildIsta:
         M[1, 2] = np.nan
         with pytest.raises(NonFiniteValue):
             build_ista(SparseRecoveryInstance(M=M, y=np.zeros(4), x_true=np.zeros(6)))
-        with pytest.raises(InvalidInput):
-            build_ista(gen_sparse_instance(8, 4, 0.1, 0.1, seed=0), reg_weight=0.0)
 
 
 class TestFista:
@@ -314,20 +334,15 @@ class TestFista:
         inst = gen_sparse_instance(16, 8, 0.1, 0.1, seed=0)
         with pytest.raises(InvalidInput):
             fista_run(build_ista(inst), 0)
-        with pytest.raises(DimensionError):
-            fista_run(build_ista(inst), 5, x_ref=np.zeros(3))
 
 
 class TestJacobi:
     def test_two_by_two_example(self):
         P = np.array([[2.0, 1.0], [1.0, 2.0]])
         q = np.array([3.0, 3.0])
-        fpmap, B = jacobi_map(P, q)
+        fpmap = jacobi_map(P, q)
         x_star = np.array([1.0, 1.0])
         assert np.max(np.abs(fpmap(x_star) - x_star)) == 0.0
-        assert np.array_equal(B, np.array([[1.0, 0.5], [0.5, 1.0]]))
-        lam = symmetric_eigenvalues(B)
-        assert lam == pytest.approx([0.5, 1.5], rel=1e-14)
         rng = estimate_eigen_range(fpmap, x_star)
         assert rng.a == pytest.approx(0.5, abs=1e-12)
         assert rng.b == pytest.approx(1.5, abs=1e-12)
@@ -336,7 +351,8 @@ class TestJacobi:
         # jacobi spectra cluster tightly, which the characteristic-polynomial
         # oracle cannot resolve; the general QR solver is the cross-check here
         inst = gen_jacobi_instance(24, seed=9)
-        fpmap, B = jacobi_map(inst.P, inst.q)
+        fpmap = jacobi_map(inst.P, inst.q)
+        B = inst.P / np.diag(inst.P)[:, None]
         assert fpmap.jacobian_spectrum is not None
         spec_j = np.sort(fpmap.jacobian_spectrum(inst.x0))
         theirs = np.linalg.eigvals(np.eye(24) - B)
@@ -345,7 +361,7 @@ class TestJacobi:
 
     def test_no_certificate_for_asymmetric_system(self):
         P = np.array([[2.0, 1.0], [0.0, 2.0]])
-        fpmap, _ = jacobi_map(P, np.zeros(2))
+        fpmap = jacobi_map(P, np.zeros(2))
         assert fpmap.jacobian_spectrum is None
 
     def test_singular_diagonal_rejected(self):
@@ -355,7 +371,6 @@ class TestJacobi:
     def test_generated_instance_range(self):
         # entry scale is tuned so D^{-1} P stays contracting near (0.68, 1.92)
         inst = gen_jacobi_instance(64, seed=0)
-        _, B = jacobi_map(inst.P, inst.q)
         d = np.diag(inst.P)
         lam = symmetric_eigenvalues(np.sqrt(1 / d)[:, None] * inst.P * np.sqrt(1 / d)[None, :])
         assert 0.55 <= lam[0] <= 0.8
@@ -465,14 +480,8 @@ class TestPowerMap:
         assert rng.b == pytest.approx(POWER_B[1], rel=1e-10)
 
     def test_clamp_and_strict_modes(self):
-        clamped = power_map()
-        out = clamped(np.array([-1.0, 4.0]))
+        out = power_map()(np.array([-1.0, 4.0]))
         assert np.all(np.isfinite(out))
-        strict = power_map(clamp=False)
-        with pytest.raises(DomainError):
-            strict(np.array([-1.0, 4.0]))
-        with pytest.raises(InvalidInput):
-            power_map(p=1.5)
 
 
 class TestRichardson:
@@ -544,13 +553,6 @@ class TestBlur:
             assert np.max(np.abs(problems._blur(x, *shape) - C @ x)) <= bound
             got = blur_map(*shape).eval(x)
             assert np.max(np.abs(got - sigmoid(C @ x))) <= bound
-
-    def test_matrix_is_cached_and_read_only(self):
-        C1 = blur_matrix(9, 9)
-        C2 = blur_matrix(9, 9)
-        assert C1 is C2
-        with pytest.raises(ValueError):
-            C1[0, 0] = 5.0
 
     def test_spectrum_at_study_size(self):
         lam = np.linalg.eigvalsh(blur_matrix(28, 28))
@@ -626,7 +628,7 @@ class TestSyntheticImages:
     def test_reproducible(self):
         a = gen_synthetic_image(28, 28, seed=0)
         b = gen_synthetic_image(28, 28, seed=0)
-        c = gen_synthetic_image(28, 28, seed=0, trial=1)
+        c = gen_synthetic_image(28, 28, seed=1)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -687,7 +689,6 @@ class TestTracedMaps:
             args, x_star = cases[attr]
             built = getattr(module, attr)(*args)
             fpmap = built.fpmap if isinstance(built, ProximalProblem) else built
-            fpmap = fpmap[0] if isinstance(fpmap, tuple) else fpmap
             hook = fpmap.jacobian_spectrum
             if hook is None:
                 continue
