@@ -132,6 +132,8 @@ def _standard_schedules(rng: EigenRange, periods: Sequence[int]) -> Dict[str, In
     if 1 in periods:
         schedules["sor"] = constant_sor_schedule(rng)
     for T in periods:
+        if T < 1:
+            raise InvalidInput(f"period must be >= 1, got {T}")
         if T > 1:
             schedules[f"cheb{T}"] = chebyshev_schedule(rng, T)
     return schedules

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -68,9 +69,16 @@ def write_trace_csv(path, records: Sequence[TraceRecord]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_HEADER)
         for rec in records:
-            for k, err in enumerate(rec.errors):
-                omega = "" if k == 0 else _fmt(rec.omegas[k - 1])
-                writer.writerow([rec.run_id, rec.solver, k, _fmt(err), omega])
+            n = len(rec.errors)
+            writer.writerows(
+                zip(
+                    repeat(rec.run_id, n),
+                    repeat(rec.solver, n),
+                    range(n),
+                    map(_fmt, rec.errors.tolist()),
+                    chain(("",), map(_fmt, rec.omegas.tolist())),
+                )
+            )
 
 
 def write_rows_csv(path, rows: Sequence[dict]) -> None:
@@ -235,6 +243,11 @@ def parse_config(text: str) -> Dict[str, str]:
 
 
 def load_config(path) -> Dict[str, str]:
-    """parse_config over a file's contents; I/O errors propagate."""
-    with open(path, "r") as fh:
-        return parse_config(fh.read())
+    """parse_config over a file's UTF-8 contents; I/O errors propagate,
+    and a file that is not UTF-8 raises ConfigError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    return parse_config(text)

@@ -1,8 +1,9 @@
-"""Independent eigenvalue oracle used by the test suite.
+"""Independent oracles used by the test suite: an eigenvalue oracle and a
+row-at-a-time trace CSV writer.
 
-Deliberately avoids the code paths under test: eigenvalues are recovered
-as roots of the characteristic polynomial, with the coefficients built by
-the trace recursion
+The eigenvalue oracle deliberately avoids the code paths under test:
+eigenvalues are recovered as roots of the characteristic polynomial,
+with the coefficients built by the trace recursion
 
     B_k = M B_{k-1} + c_{k-1} I,   c_k = -trace(M B_k) / k
 
@@ -12,8 +13,15 @@ roots in complex extended precision. Zero rows are split off first
 repeated roots away from the polynomial solve. Validated against
 matrices with known spectra to about 5e-10 for n <= 16 when eigenvalue
 gaps are at least 0.02.
+
+The trace writer is the plain form: one csv writerow call per iterate.
+The package's writer must match it byte for byte.
 """
+import csv
+
 import numpy as np
+
+TRACE_HEADER = ("run_id", "solver", "k", "error", "omega")
 
 
 def char_poly_coeffs(M):
@@ -53,3 +61,19 @@ def brute_real_eigs_sorted(M, polish=6, imag_tol=1e-8):
     lam = brute_eigs(M, polish=polish)
     assert np.max(np.abs(lam.imag)) <= imag_tol, "oracle found complex eigenvalues"
     return np.sort(lam.real)
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def write_trace_csv(path, records):
+    """Write runs as rows (run_id, solver, k, error, omega), one
+    writerow call per iterate."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRACE_HEADER)
+        for rec in records:
+            for k, err in enumerate(rec.errors):
+                omega = "" if k == 0 else _fmt(rec.omegas[k - 1])
+                writer.writerow([rec.run_id, rec.solver, k, _fmt(err), omega])

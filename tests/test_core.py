@@ -1,5 +1,6 @@
 """Schedule construction and runner behaviour."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,124 @@ class TestInertialStep:
         for omega in (1.0, 0.5):
             with pytest.raises(NonFiniteValue):
                 inertial_step(inf, np.full(3, 1e200), omega)
+
+
+def oracle_step(x, fx, w):
+    """The textbook relaxed update, written as the paper states it."""
+    return (1 - w) * x + w * fx
+
+
+def recorded(fn, *args):
+    """fn(*args) and the warnings it raised, as sorted (category, text)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args)
+        except NonFiniteValue:
+            out = None
+    return out, sorted((w.category.__name__, str(w.message)) for w in caught)
+
+
+class TestInertialStepBits:
+    """The step matches the textbook update bit for bit, warning for warning."""
+
+    OMEGAS = (-0.5, 1e-300, 0.3, 1.7, 2.5, 1e10)
+    VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e200, -1e200, 0.7, -3.0, 1.0 / 3.0])
+    # large enough that some factors overflow a product or the sum
+    HUGE = np.array([1e308, -1e308, 1.5e308, 0.0, -0.0, 5e-324, 1.0])
+
+    @staticmethod
+    def step(x, fx, w):
+        return inertial_step(FixedPointMap(dim=len(x), eval=lambda _: fx), x, w)
+
+    @pytest.mark.parametrize("omega", OMEGAS)
+    def test_bits_match_textbook_update(self, omega):
+        for shift in range(len(self.VALUES)):
+            x, fx = self.VALUES, np.roll(self.VALUES[::-1], shift)
+            want, want_warnings = recorded(oracle_step, x, fx, omega)
+            got, got_warnings = recorded(self.step, x, fx, omega)
+            assert want_warnings == got_warnings == []
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("omega", OMEGAS)
+    def test_warns_and_raises_like_textbook_update(self, omega):
+        overflowed = 0
+        for shift in range(len(self.HUGE)):
+            x, fx = self.HUGE, np.roll(self.HUGE[::-1], shift)
+            want, want_warnings = recorded(oracle_step, x, fx, omega)
+            got, got_warnings = recorded(self.step, x, fx, omega)
+            assert got_warnings == want_warnings
+            if np.isfinite(want).all():
+                assert got.tobytes() == want.tobytes()
+            else:
+                overflowed += 1
+                assert got is None  # NonFiniteValue
+        if abs(omega) > 1:
+            assert overflowed > 0
+
+
+def loop_errors(fpmap, schedule, x0, stop, ref):
+    """Errors of an independent relaxed loop, each by np.linalg.norm."""
+    x = np.array(x0, dtype=float)
+    errors = [np.linalg.norm(x - ref)]
+    for k in range(stop.max_iters):
+        w = schedule.factors[k % schedule.period]
+        fx = fpmap(x)
+        y = fx if w == 1.0 else oracle_step(x, fx, w)
+        if not (np.isfinite(y).all() and np.linalg.norm(y) <= stop.divergence_threshold):
+            return errors, StopReason.DIVERGENCE
+        errors.append(np.linalg.norm(y - ref))
+        step, x = np.linalg.norm(y - x), y
+        if step <= stop.step_tol:
+            return errors, StopReason.TOLERANCE
+        if stop.error_target is not None and errors[-1] <= stop.error_target:
+            return errors, StopReason.TARGET
+    return errors, StopReason.MAX_ITERS
+
+
+class TestRunInertialBits:
+    """run_inertial's errors match an independent loop bit for bit."""
+
+    N = 6
+    REFS = {
+        "zeros": np.zeros(N),
+        "negative zeros": -np.zeros(N),
+        "tiny": np.full(N, 1e-300),
+        "fixed point": None,  # the map's own nonzero fixed point
+    }
+
+    def problem(self, scenario, ref_kind):
+        rng = np.random.default_rng(17)
+        Q, _ = np.linalg.qr(rng.normal(size=(self.N, self.N)))
+        B = Q @ np.diag(np.linspace(0.3, 0.9, self.N)) @ Q.T
+        A = np.eye(self.N) - B
+        if scenario == "divergence":
+            A = 2.5 * A + 0.5 * np.eye(self.N)
+        b = rng.normal(size=self.N) if ref_kind == "fixed point" else np.zeros(self.N)
+        ref = self.REFS[ref_kind]
+        if ref is None:
+            ref = np.linalg.solve(np.eye(self.N) - A, b)
+        fpmap = affine_map(A, b)
+        x0 = rng.normal(size=self.N) * 3.0
+        if scenario == "divergence":
+            stop = StopCriteria(max_iters=200, divergence_threshold=1e6)
+            return fpmap, plain_schedule(), x0, stop, ref, StopReason.DIVERGENCE
+        schedule = chebyshev_schedule(EigenRange(0.3, 0.9), 4)
+        if scenario == "target":
+            target = 1e-9 * float(np.linalg.norm(x0 - ref))
+            stop = StopCriteria(max_iters=200, error_target=target)
+            return fpmap, schedule, x0, stop, ref, StopReason.TARGET
+        return fpmap, schedule, x0, StopCriteria(max_iters=30), ref, StopReason.MAX_ITERS
+
+    @pytest.mark.parametrize("ref_kind", sorted(REFS))
+    @pytest.mark.parametrize("scenario", ["budget", "divergence", "target"])
+    def test_errors_match_independent_loop(self, scenario, ref_kind):
+        fpmap, schedule, x0, stop, ref, reason = self.problem(scenario, ref_kind)
+        want, want_reason = loop_errors(fpmap, schedule, x0, stop, ref)
+        tr = run_inertial(fpmap, schedule, x0, stop, x_ref=ref)
+        assert want_reason is tr.stop_reason is reason
+        assert 1 < tr.steps < stop.max_iters or reason is StopReason.MAX_ITERS
+        assert tr.errors.tobytes() == np.array(want).tobytes()
 
 
 class TestRunInertial:

@@ -256,6 +256,27 @@ class TestCliExitCodes:
         cfg.write_text("n 64\n")
         assert main(["jacobi", "--config", str(cfg)]) == EX_CONFIG
 
+    def test_non_utf8_config(self, tmp_path):
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(b"n = 16\n\xff\n")
+        proc = run_alone(["jacobi", "--config", str(cfg)])
+        assert proc.returncode == EX_CONFIG
+        assert proc.stderr.startswith("config error: ") and "latin.cfg" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["jacobi", "--periods", "0,-2,8"],
+            ["toy", "--map", "power", "--periods", "0"],
+            ["toy", "--map", "gram", "--periods", "0,4"],
+        ],
+    )
+    def test_period_below_one(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == EX_USAGE
+        assert "period must be >= 1, got 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "unk.cfg"
         cfg.write_text("banana = 3\n")

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from chebiter import (
     ConfigError,
     FormatError,
@@ -14,6 +15,14 @@ from chebiter import (
     read_trace_csv,
     write_pgm,
     write_trace_csv,
+)
+from chebiter.experiments import (
+    run_deblur,
+    run_ista,
+    run_jacobi,
+    run_tanh_gram,
+    run_tanh_solve,
+    run_toy_power,
 )
 
 
@@ -81,6 +90,54 @@ class TestTraceCsv:
         p.write_text("run_id,solver,k,error,omega\nr,s,0,oops,\n")
         with pytest.raises(FormatError):
             read_trace_csv(p)
+
+
+# Each study at a tiny size, for its trace records.
+TINY_STUDIES = {
+    "jacobi": lambda: run_jacobi(None, n=8, iters=12),
+    "toy_power": lambda: run_toy_power(None, iters=12),
+    "tanh_solve": lambda: run_tanh_solve(None, iters=8),
+    "tanh_gram": lambda: run_tanh_gram(None, n=8, iters=30),
+    "ista": lambda: run_ista(None, n=32, m=16, seeds=2, iters=60, fista_iters=10),
+    "deblur": lambda: run_deblur(None, height=12, width=12, seeds=1, iters=16),
+}
+
+
+class TestTraceCsvOracle:
+    """The writer matches the row-at-a-time oracle byte for byte."""
+
+    def assert_matches_oracle(self, tmp_path, records):
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+        write_trace_csv(ours, records)
+        oracles.write_trace_csv(theirs, records)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+    @pytest.mark.parametrize("study", sorted(TINY_STUDIES))
+    def test_study_traces(self, study, tmp_path):
+        records = TINY_STUDIES[study]().records
+        assert records
+        self.assert_matches_oracle(tmp_path, records)
+
+    def test_quoted_run_id(self, tmp_path):
+        rec = TraceRecord('a, "b" c', "cheb 8", np.array([2.0, 1.0]), np.array([0.5]))
+        self.assert_matches_oracle(tmp_path, [rec])
+        assert '"a, ""b"" c"' in (tmp_path / "ours.csv").read_text()
+
+    def test_single_iterate(self, tmp_path):
+        rec = TraceRecord("one", "plain", np.array([3.0]), np.array([]))
+        self.assert_matches_oracle(tmp_path, [rec, *sample_records()])
+        assert (tmp_path / "ours.csv").read_text().splitlines()[1] == "one,plain,0,3,"
+
+    def test_extreme_values(self, tmp_path):
+        values = np.array([-0.0, 5e-324, 1e308])
+        rec = TraceRecord("x", "s", np.append(values, 1.0), values)
+        self.assert_matches_oracle(tmp_path, [rec])
+        lines = (tmp_path / "ours.csv").read_text().splitlines()
+        cells = [line.split(",")[3] for line in lines[1:4]]
+        assert cells == ["-0", "4.9406564584124654e-324", "1e+308"]
+
+    def test_no_records(self, tmp_path):
+        self.assert_matches_oracle(tmp_path, [])
 
 
 class TestPgm:
@@ -164,3 +221,11 @@ class TestConfig:
         assert load_config(p) == {"n": "64", "period": "8"}
         with pytest.raises(OSError):
             load_config(tmp_path / "missing.cfg")
+
+    def test_non_utf8_file_is_a_config_error(self, tmp_path):
+        p = tmp_path / "latin.cfg"
+        p.write_bytes(b"n = 64\nlabel = caf\xe9\n")
+        with pytest.raises(ConfigError, match="latin.cfg"):
+            load_config(p)
+        p.write_bytes("label = caf\u00e9\n".encode("utf-8"))
+        assert load_config(p) == {"label": "caf\u00e9"}
