@@ -6,8 +6,10 @@ Maps that know their Jacobian as shift I + scale diag(q) A, with A
 symmetric and q >= 0, state it once through _factored_jacobian, which
 also attaches a jacobian_spectrum hook, so range estimation gets the
 exact real spectrum instead of falling back to symmetrization. The blur
-map gives its A as a matvec instead: its hook returns the two extreme
-eigenvalues by Lanczos, and the dense A is built only for its jacobian.
+map gives its A as a matvec instead, two products with 0/1 band matrices
+(band(h) @ img @ band(w) is the window sum): its hook returns the two
+extreme eigenvalues by Lanczos, and the dense A is built only for its
+jacobian.
 """
 from __future__ import annotations
 
@@ -76,7 +78,9 @@ def sigmoid(u):
     """Logistic function, computed without overflow for large |u|."""
     u = np.asarray(u, dtype=float)
     e = np.exp(-np.abs(u))
-    return np.where(u >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # One shared denominator: the same bits as the two-branch form
+    # where(u >= 0, 1 / (1 + e), e / (1 + e)), with one division fewer.
+    return np.where(u >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def soft_shrink(x, tau: float):
@@ -499,17 +503,27 @@ def _check_image_shape(height: int, width: int) -> None:
         raise InvalidInput(f"need height, width >= 1, got {height}, {width}")
 
 
+def _band(m: int) -> np.ndarray:
+    """The m x m 0/1 matrix with ones where |i - j| <= _BLUR_HALF.
+
+    band(h) @ img @ band(w) is the zero-padded window sum of an h x w
+    image, so it defines the blur both for the kernel and for the dense C.
+    """
+    i = np.arange(m)
+    return (np.abs(i[:, None] - i) <= _BLUR_HALF).astype(float)
+
+
 def blur_matrix(height: int, width: int) -> np.ndarray:
     """Dense linear blur operator C on flattened height x width images.
 
     Each output pixel is 1.5 times its own value plus 0.1 times every
     neighbor in a 7 x 7 window, with zero padding at the borders. That is
-    the Kronecker form C = _BLUR_WEIGHT kron(band(height), band(width))
-    + _BLUR_SELF I, where band(m) is the 0/1 matrix of |i - j| <= 3; it
-    is exactly symmetric. Only the nonzero width x width blocks are
-    written into a zero matrix, so the pages of the all-zero blocks are
-    never touched. Images of more than MAX_DENSE_DIM pixels are refused
-    with InvalidInput rather than allocating the n^2 array.
+    the Kronecker form C = _BLUR_WEIGHT kron(_band(height), _band(width))
+    + _BLUR_SELF I; it is exactly symmetric. Only the nonzero width x
+    width blocks are written into a zero matrix, so the pages of the
+    all-zero blocks are never touched. Images of more than MAX_DENSE_DIM
+    pixels are refused with InvalidInput rather than allocating the n^2
+    array.
     """
     _check_image_shape(height, width)
     n = height * width
@@ -517,34 +531,24 @@ def blur_matrix(height: int, width: int) -> np.ndarray:
         raise InvalidInput(
             f"dense blur matrix limited to height * width <= {MAX_DENSE_DIM}, got {n}"
         )
-
-    def band(m):
-        i = np.arange(m)
-        return (np.abs(i[:, None] - i) <= _BLUR_HALF).astype(float)
-
-    rows, cols = np.nonzero(band(height))
+    rows, cols = np.nonzero(_band(height))
     C = np.zeros((n, n))
-    C.reshape(height, width, height, width)[rows, :, cols, :] = _BLUR_WEIGHT * band(width)
+    C.reshape(height, width, height, width)[rows, :, cols, :] = _BLUR_WEIGHT * _band(width)
     C.flat[:: n + 1] += _BLUR_SELF
     return C
 
 
-def _blur(x, height: int, width: int) -> np.ndarray:
+def _blur(x, band_h: np.ndarray, band_w: np.ndarray) -> np.ndarray:
     """C x for the C of blur_matrix, without forming C.
 
-    The window sum of the zero-padded image is taken as 7 shifted column
-    slices, then 7 shifted row slices of that sum: O(n) work per call.
+    band_h and band_w are _band(height) and _band(width). The window sum
+    is the two matrix products band_h @ img @ band_w, O(n (h + w)) work
+    per call in two BLAS calls, so its bits depend on the BLAS kernel.
+    Every product with 0 is taken, so one inf pixel gives inf on its
+    window and NaN (0 * inf) on every other pixel.
     """
-    img = np.asarray(x, dtype=float).reshape(height, width)
-    k = 2 * _BLUR_HALF + 1
-    pad = np.zeros((height + k - 1, width + k - 1))
-    pad[_BLUR_HALF : _BLUR_HALF + height, _BLUR_HALF : _BLUR_HALF + width] = img
-    cols = pad[:, :width].copy()
-    for j in range(1, k):
-        cols += pad[:, j : j + width]
-    box = cols[:height].copy()
-    for i in range(1, k):
-        box += cols[i : i + height]
+    img = np.asarray(x, dtype=float).reshape(band_h.shape[0], band_w.shape[0])
+    box = band_h @ img @ band_w
     box *= _BLUR_WEIGHT
     box += _BLUR_SELF * img
     return box.ravel()
@@ -554,17 +558,24 @@ def blur_map(height: int, width: int) -> FixedPointMap:
     """Saturating blur g(x) = sigmoid(C x) on flattened images.
 
     eval, the slope q = s (1 - s) of the Jacobian diag(q) C and the
-    spectrum certificate all apply C matrix-free (_blur). The hook
+    spectrum certificate all apply C matrix-free as two band-matrix
+    products (_blur); the two band matrices are built once here. The hook
     returns the smallest and the largest eigenvalue of diag(q) C by
     Lanczos on sqrt(q) C sqrt(q), which C's exact symmetry and q >= 0
     make real, at any image size. Only the jacobian hook builds the dense
     blur_matrix, so a run that estimates its range never forms it, and
     that hook alone is limited to MAX_DENSE_DIM pixels.
+
+    A non-finite pixel is not confined to its window: the products take
+    0 * inf, so eval of an image with one inf pixel is 1.0 on that
+    pixel's 7 x 7 window and NaN everywhere else. The runner, the
+    fixed-point check and Lanczos all reject non-finite vectors first.
     """
     _check_image_shape(height, width)
+    band_h, band_w = _band(height), _band(width)
 
     def blur(x):
-        return _blur(x, height, width)
+        return _blur(x, band_h, band_w)
 
     def step(x):
         return sigmoid(blur(x))

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import EigenRange, FixedPointMap, InertialSchedule
+from .core import EigenRange, FixedPointMap, InertialSchedule, _norm
 from .errors import (
     DimensionError,
     InvalidInput,
@@ -348,13 +348,13 @@ def _lanczos_extremes(matvec, n: int) -> np.ndarray:
     alpha = np.empty(limit)
     beta = np.empty(limit)
     v = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
-    v /= np.linalg.norm(v)
+    v /= _norm(v)
     alpha_max = 0.0
     for k in range(limit):
         m = k + 1
         V[k] = v
         w = np.asarray(matvec(v), dtype=float)
-        if not np.all(np.isfinite(w)):
+        if b"\0" in np.isfinite(w).tobytes():
             raise NonFiniteValue(f"operator returned non-finite values at Lanczos step {m}")
         alpha[k] = v @ w
         alpha_max = max(alpha_max, abs(alpha[k]))
@@ -362,7 +362,7 @@ def _lanczos_extremes(matvec, n: int) -> np.ndarray:
         if k:
             w -= beta[k - 1] * V[k - 1]
         w -= (V[:m] @ w) @ V[:m]
-        beta[k] = np.linalg.norm(w)
+        beta[k] = _norm(w)
         if m % _LANCZOS_CHECK == 0 or m == limit or beta[k] <= _LANCZOS_TOL * alpha_max:
             off = beta[: m - 1]
             theta, S = np.linalg.eigh(np.diag(alpha[:m]) + np.diag(off, 1) + np.diag(off, -1))

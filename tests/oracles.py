@@ -1,5 +1,6 @@
-"""Independent oracles used by the test suite: an eigenvalue oracle and a
-row-at-a-time trace CSV writer.
+"""Independent oracles used by the test suite: an eigenvalue oracle, a
+row-at-a-time trace CSV writer, the two-branch sigmoid and a slice-sum
+blur.
 
 The eigenvalue oracle deliberately avoids the code paths under test:
 eigenvalues are recovered as roots of the characteristic polynomial,
@@ -16,6 +17,12 @@ gaps are at least 0.02.
 
 The trace writer is the plain form: one csv writerow call per iterate.
 The package's writer must match it byte for byte.
+
+The sigmoid is the textbook overflow-free form with one division per
+branch; the package's shared-denominator form must match it bit for bit.
+The blur applies 1.4 x + 0.1 box7(x) to a zero-padded image as 7 shifted
+column slices, then 7 shifted row slices of that sum, in plain additions
+that never multiply by 0, so one inf pixel stays within its window.
 """
 import csv
 
@@ -77,3 +84,26 @@ def write_trace_csv(path, records):
             for k, err in enumerate(rec.errors):
                 omega = "" if k == 0 else _fmt(rec.omegas[k - 1])
                 writer.writerow([rec.run_id, rec.solver, k, _fmt(err), omega])
+
+
+def sigmoid_two_branch(u):
+    u = np.asarray(u, dtype=float)
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def blur_slice_sum(x, height, width, half=3, self_weight=1.4, weight=0.1):
+    """C x for the blur C on a flattened height x width image."""
+    img = np.asarray(x, dtype=float).reshape(height, width)
+    k = 2 * half + 1
+    pad = np.zeros((height + k - 1, width + k - 1))
+    pad[half : half + height, half : half + width] = img
+    cols = pad[:, :width].copy()
+    for j in range(1, k):
+        cols += pad[:, j : j + width]
+    box = cols[:height].copy()
+    for i in range(1, k):
+        box += cols[i : i + height]
+    box *= weight
+    box += self_weight * img
+    return box.ravel()

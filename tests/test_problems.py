@@ -44,7 +44,7 @@ from chebiter import (
     tanh_equation_map,
 )
 
-from oracles import brute_real_eigs_sorted
+from oracles import blur_slice_sum, brute_real_eigs_sorted, sigmoid_two_branch
 
 # Independently computed with 40-digit arithmetic, rounded to double.
 SIGMOID_15 = 0.81757447619364366
@@ -70,6 +70,19 @@ class TestSigmoid:
     def test_symmetry(self):
         x = np.linspace(-30, 30, 101)
         assert np.max(np.abs(sigmoid(x) + sigmoid(-x) - 1.0)) <= 1e-15
+
+    def test_matches_two_branch_form_bit_for_bit(self):
+        # The smooth shrinkage gradient calls sigmoid, so ISTA's outputs
+        # keep their bytes only if the shared denominator changes nothing.
+        special = [0.0, -0.0, np.inf, -np.inf, 1e-320, -1e-320, 36.8, -36.8, 745.2, -745.2, 800.0, -800.0]
+        rng = np.random.default_rng(75)
+        lengths = list(range(1, 65)) + [784, 5000]
+        cases = special + [np.array(special)] + [rng.uniform(-800.0, 800.0, m) for m in lengths]
+        cases += [rng.standard_normal(m) for m in lengths]
+        for u in cases:
+            ours = sigmoid(u)
+            assert ours.shape == np.shape(u)
+            assert ours.tobytes() == sigmoid_two_branch(u).tobytes()
 
 
 class TestShrinkage:
@@ -550,9 +563,47 @@ class TestBlur:
         rng = np.random.default_rng(sum(shape))
         for x in (rng.uniform(0.0, 1.0, C.shape[0]), rng.standard_normal(C.shape[0])):
             bound = 8 * np.finfo(float).eps * np.max(np.abs(x)) * 49
-            assert np.max(np.abs(problems._blur(x, *shape) - C @ x)) <= bound
+            bands = [problems._band(m) for m in shape]
+            assert np.max(np.abs(problems._blur(x, *bands) - C @ x)) <= bound
+            assert np.max(np.abs(blur_slice_sum(x, *shape) - C @ x)) <= bound
             got = blur_map(*shape).eval(x)
             assert np.max(np.abs(got - sigmoid(C @ x))) <= bound
+
+    @pytest.mark.parametrize("shape", [(40, 40), (13, 128), (128, 128)])
+    def test_band_kernel_matches_slice_sum_oracle_past_dense_cap(self, shape):
+        # Past MAX_DENSE_DIM blur_matrix refuses to build, so the slice sums
+        # are the reference, within the bound of the dense comparison above.
+        n = shape[0] * shape[1]
+        bands = [problems._band(m) for m in shape]
+        rng = np.random.default_rng(n)
+        for x in (rng.uniform(0.0, 1.0, n), rng.standard_normal(n)):
+            bound = 8 * np.finfo(float).eps * np.max(np.abs(x)) * 49
+            assert np.max(np.abs(problems._blur(x, *bands) - blur_slice_sum(x, *shape))) <= bound
+
+    @pytest.mark.parametrize("shape", [(3, 3), (28, 28), (13, 128), (128, 128)])
+    def test_band_kernel_is_symmetric(self, shape):
+        # The Lanczos certificate needs u.Cv = v.Cu up to rounding: at most
+        # (49 + n) eps |u|.C|v| for each side, C being entrywise >= 0.
+        n = shape[0] * shape[1]
+        bands = [problems._band(m) for m in shape]
+        rng = np.random.default_rng(n + 1)
+        u, v = rng.standard_normal(n), rng.standard_normal(n)
+        gap = abs(u @ problems._blur(v, *bands) - v @ problems._blur(u, *bands))
+        scale = np.abs(u) @ blur_slice_sum(np.abs(v), *shape)
+        assert gap <= 2 * (49 + n) * np.finfo(float).eps * scale
+
+    def test_inf_pixel_spreads_nan(self):
+        # The band products take 0 * inf, so one inf pixel leaves its 7 x 7
+        # window saturated at 1.0 and every other pixel NaN; the slice sums
+        # kept the rest finite. No library caller passes a non-finite vector.
+        x = np.zeros((12, 12))
+        x[5, 6] = np.inf
+        with np.errstate(invalid="ignore"):
+            out = blur_map(12, 12).eval(x.ravel()).reshape(12, 12)
+        window = np.zeros((12, 12), dtype=bool)
+        window[2:9, 3:10] = True
+        assert np.all(out[window] == 1.0)
+        assert np.all(np.isnan(out[~window]))
 
     def test_spectrum_at_study_size(self):
         lam = np.linalg.eigvalsh(blur_matrix(28, 28))

@@ -361,8 +361,21 @@ class TestRealSpectrumViaSimilarity:
         assert np.array_equal(spectral._similarity_spectrum(lambda v: v, np.zeros(4)), [0.0, 0.0])
 
     def test_lanczos_failures_are_typed(self, monkeypatch):
-        with pytest.raises(NonFiniteValue):
-            spectral._similarity_spectrum(lambda v: np.full(5, np.nan), np.ones(5))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(NonFiniteValue):
+                spectral._similarity_spectrum(lambda v: np.full(5, bad), np.ones(5))
+            # one bad entry among finite ones, first met at a later step
+            calls = []
+
+            def matvec(v):
+                calls.append(1)
+                w = v.copy()
+                if len(calls) == 3:
+                    w[2] = bad
+                return w
+
+            with pytest.raises(NonFiniteValue, match="step 3"):
+                spectral._similarity_spectrum(matvec, np.linspace(1.0, 2.0, 6))
         with pytest.raises(DimensionError):
             spectral._similarity_spectrum(lambda v: v, np.ones((2, 2)))
         # a cap below n that the stopping rule cannot meet
