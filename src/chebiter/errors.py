@@ -73,7 +73,9 @@ class ConfigError(ChebiterError, ValueError):
 class SpectrumNotCertifiedReal(UserWarning):
     """Jacobian is not symmetric and carries no certificate that its spectrum is real.
 
-    Emitted when an eigenvalue range is estimated from the symmetrized
-    Jacobian as a fallback. The returned range may misjudge the true
-    spectrum if the asymmetry is more than cosmetic.
+    Emitted when an eigenvalue range is estimated from the symmetric part
+    of the Jacobian as a fallback. That range encloses the real parts of
+    all eigenvalues (Bendixson's theorem), so it is valid but loose, and a
+    schedule built on it can grow the error far before contracting when
+    the Jacobian is non-normal.
     """

@@ -6,10 +6,12 @@ Maps that know their Jacobian as shift I + scale diag(q) A, with A
 symmetric and q >= 0, state it once through _factored_jacobian, which
 also attaches a jacobian_spectrum hook, so range estimation gets the
 exact real spectrum instead of falling back to symmetrization. The blur
-map gives its A as a matvec instead, two products with 0/1 band matrices
-(band(h) @ img @ band(w) is the window sum): its hook returns the two
-extreme eigenvalues by Lanczos, and the dense A is built only for its
-jacobian.
+map gives its positive definite A as a matvec, two products with 0/1
+band matrices (band(h) @ img @ band(w) is the window sum), together with
+its exact inverse from the band matrices' eigendecompositions: its hook
+returns the two extreme eigenvalues, the upper by Lanczos on the scaled
+blur and the lower by Lanczos on its inverse, and the dense A is built
+only for its jacobian.
 """
 from __future__ import annotations
 
@@ -554,17 +556,41 @@ def _blur(x, band_h: np.ndarray, band_w: np.ndarray) -> np.ndarray:
     return box.ravel()
 
 
+def _band_eigen(band_h: np.ndarray, band_w: np.ndarray):
+    """(U_h, U_w, d) with C = (U_h kron U_w) diag(d.ravel()) (U_h kron U_w)^T.
+
+    U_h, U_w are the eigenvectors of the two band matrices, and d is the
+    h x w grid _BLUR_SELF + _BLUR_WEIGHT lam_h lam_w^T of C's eigenvalues.
+    The band eigenvalues lie in [-1.63, 7), so every d is above 0.26: C
+    is positive definite for every image shape.
+    """
+    lam_h, U_h = np.linalg.eigh(band_h)
+    lam_w, U_w = np.linalg.eigh(band_w)
+    return U_h, U_w, _BLUR_SELF + _BLUR_WEIGHT * np.outer(lam_h, lam_w)
+
+
+def _unblur(x, U_h: np.ndarray, U_w: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """C^-1 x for the C of blur_matrix, from the factors of _band_eigen:
+    U_h [(U_h^T img U_w) / d] U_w^T, four matrix products."""
+    core = U_h.T @ np.asarray(x, dtype=float).reshape(d.shape) @ U_w
+    core /= d
+    return (U_h @ core @ U_w.T).ravel()
+
+
 def blur_map(height: int, width: int) -> FixedPointMap:
     """Saturating blur g(x) = sigmoid(C x) on flattened images.
 
     eval, the slope q = s (1 - s) of the Jacobian diag(q) C and the
     spectrum certificate all apply C matrix-free as two band-matrix
-    products (_blur); the two band matrices are built once here. The hook
-    returns the smallest and the largest eigenvalue of diag(q) C by
-    Lanczos on sqrt(q) C sqrt(q), which C's exact symmetry and q >= 0
-    make real, at any image size. Only the jacobian hook builds the dense
-    blur_matrix, so a run that estimates its range never forms it, and
-    that hook alone is limited to MAX_DENSE_DIM pixels.
+    products (_blur); the two band matrices are built, and factored by
+    eigh (_band_eigen), once here. The hook returns the smallest and the
+    largest eigenvalue of diag(q) C, which C's exact symmetry and q >= 0
+    make real, at any image size: the largest by Lanczos on
+    S = sqrt(q) C sqrt(q), the smallest by Lanczos on q_min S^-1, applied
+    through the exact inverse _unblur (spectral._shift_invert_extremes).
+    Only the jacobian hook builds the dense blur_matrix, so a run that
+    estimates its range never forms it, and that hook alone is limited to
+    MAX_DENSE_DIM pixels.
 
     A non-finite pixel is not confined to its window: the products take
     0 * inf, so eval of an image with one inf pixel is 1.0 on that
@@ -573,9 +599,13 @@ def blur_map(height: int, width: int) -> FixedPointMap:
     """
     _check_image_shape(height, width)
     band_h, band_w = _band(height), _band(width)
+    eigen = _band_eigen(band_h, band_w)
 
     def blur(x):
         return _blur(x, band_h, band_w)
+
+    def unblur(x):
+        return _unblur(x, *eigen)
 
     def step(x):
         return sigmoid(blur(x))
@@ -588,7 +618,7 @@ def blur_map(height: int, width: int) -> FixedPointMap:
         return slope(x)[:, None] * blur_matrix(height, width)
 
     def spectrum(x):
-        return _similarity_spectrum(blur, slope(x))
+        return _similarity_spectrum((blur, unblur), slope(x))
 
     return FixedPointMap(
         dim=height * width,

@@ -299,7 +299,9 @@ def _similarity_spectrum(A, q) -> np.ndarray:
     _REL_ASYM_TOL (as when a map builder checked it once), gets the full
     ascending spectrum from eigvalsh, within the MAX_DENSE_DIM cap. A
     matvec v -> A v gets only the smallest and the largest eigenvalue,
-    from _lanczos_extremes on v -> sqrt(q) * A(sqrt(q) * v), at any size.
+    from _lanczos_extremes on S: v -> sqrt(q) * A(sqrt(q) * v), at any
+    size. A pair (matvec, inverse matvec) of a positive definite A gets
+    the same two ends from two runs (_shift_invert_extremes).
     """
     dense = isinstance(A, np.ndarray)
     q = np.asarray(q, dtype=float)
@@ -312,6 +314,8 @@ def _similarity_spectrum(A, q) -> np.ndarray:
         raise NonFiniteValue("q has non-finite entries")
     if np.any(q < 0.0):
         raise InvalidInput("q must be nonnegative for the similarity to be real")
+    if isinstance(A, tuple):
+        return _shift_invert_extremes(*A, q)
     if not dense:
         s = np.sqrt(q)
         return _lanczos_extremes(lambda v: s * A(s * v), n)
@@ -328,21 +332,63 @@ def _similarity_spectrum(A, q) -> np.ndarray:
     return np.sort(np.concatenate([lam, np.zeros(n - k)]))
 
 
-def _lanczos_extremes(matvec, n: int) -> np.ndarray:
-    """Smallest and largest eigenvalue of a symmetric operator on R^n, as
-    an array of two.
+def _shift_invert_extremes(matvec, inverse, q: np.ndarray) -> np.ndarray:
+    """Smallest and largest eigenvalue of S = sqrt(q) A sqrt(q), for a
+    positive definite A given as a matvec and its inverse, and checked
+    nonnegative q.
+
+    The largest is Lanczos on S converging the upper end alone. The
+    smallest is 0.0 when some q_i is 0: those rows of S are zero and S on
+    the other pixels is positive definite. Otherwise it comes from the
+    spectral transformation of Ericsson & Ruhe (1980): Lanczos on
+    v -> r * A^-1(r * v) with r = sqrt(q_min / q), which is q_min S^-1
+    with entries bounded for any q > 0, so its top Ritz vector y is S's
+    lowest eigenvector. The value is the Rayleigh quotient y.Sy, and the
+    run stops once |Sy - (y.Sy) y| is at most _LANCZOS_TOL times the
+    upper end, the same certificate as on S itself.
+    """
+    n = q.size
+    s = np.sqrt(q)
+
+    def S(v):
+        return s * matvec(s * v)
+
+    upper = _lanczos_extremes(S, n, ends=(-1,))[0]
+    q_min = q.min()
+    if q_min == 0.0:
+        return np.array([0.0, upper])
+    r = np.sqrt(q_min / q)
+
+    def rayleigh(y):
+        Sy = S(y)
+        rho = y @ Sy
+        return rho, _norm(Sy - rho * y) / upper
+
+    lower = _lanczos_extremes(lambda v: r * inverse(r * v), n, ends=(-1,), rayleigh=rayleigh)[0]
+    return np.array([lower, upper])
+
+
+def _lanczos_extremes(matvec, n: int, ends=(0, -1), rayleigh=None) -> np.ndarray:
+    """Extreme eigenvalues of a symmetric operator on R^n: those at the
+    ends asked for, indices into the ascending Ritz values, as an array.
 
     Lanczos (1950) from a fixed-seed normal start, with the three-term
     recurrence followed by one Gram-Schmidt pass against every stored
     vector (full reorthogonalization). Every _LANCZOS_CHECK steps, and
     when beta_m falls below _LANCZOS_TOL max |alpha|, the tridiagonal
-    T_m is diagonalized; the run stops once both extreme Ritz residuals
-    beta_m |s_m| are at most _LANCZOS_TOL max |theta|, or when m = n,
-    where the Ritz values are the spectrum. The same operator gives the
-    same bits. Raises NonFiniteValue on a non-finite product and
-    NotConverged when min(n, _LANCZOS_MAX_STEPS) steps do not meet the
-    rule; the stored basis is at most that many vectors of length n.
+    T_m is diagonalized. By default the run stops once the Ritz residual
+    beta_m |s_m| of each asked end is at most _LANCZOS_TOL max |theta|
+    over those ends, and returns the Ritz values. rayleigh, given with
+    one end, judges that end on another operator instead: it maps the
+    end's unit Ritz vector y to the value to return and its residual
+    relative to the tolerance's scale, and the run stops once that is at
+    most _LANCZOS_TOL. Either way the run also stops at m = n, where the
+    Ritz pairs are exact. The same operator gives the same bits. Raises
+    NonFiniteValue on a non-finite product and NotConverged when
+    min(n, _LANCZOS_MAX_STEPS) steps do not meet the rule; the stored
+    basis is at most that many vectors of length n.
     """
+    ends = list(ends)
     limit = min(n, _LANCZOS_MAX_STEPS)
     V = np.empty((limit, n))
     alpha = np.empty(limit)
@@ -366,14 +412,20 @@ def _lanczos_extremes(matvec, n: int) -> np.ndarray:
         if m % _LANCZOS_CHECK == 0 or m == limit or beta[k] <= _LANCZOS_TOL * alpha_max:
             off = beta[: m - 1]
             theta, S = np.linalg.eigh(np.diag(alpha[:m]) + np.diag(off, 1) + np.diag(off, -1))
-            ends = [0, -1]
-            residual = beta[k] * np.abs(S[-1, ends])
-            if m == n or np.all(residual <= _LANCZOS_TOL * np.max(np.abs(theta[ends]))):
-                return theta[ends]
+            if rayleigh is None:
+                values = theta[ends]
+                residual = beta[k] * np.abs(S[-1, ends])
+                bound = _LANCZOS_TOL * np.max(np.abs(values))
+            else:
+                y = S[:, ends[0]] @ V[:m]
+                value, rel = rayleigh(y / _norm(y))
+                values, residual, bound = np.array([value]), np.array([rel]), _LANCZOS_TOL
+            if m == n or np.all(residual <= bound):
+                return values
         v = w / beta[k]
     raise NotConverged(
         f"Lanczos did not resolve the extreme eigenvalues within {limit} steps "
-        f"(n = {n}); extreme Ritz residuals {residual[0]:.3e}, {residual[1]:.3e}"
+        f"(n = {n}); residuals " + ", ".join(f"{r:.3e}" for r in residual)
     )
 
 
@@ -414,10 +466,13 @@ def estimate_eigen_range(
     * otherwise the Jacobian comes from the map's analytic jacobian or
       central differences, and the range is the extreme exact eigenvalues
       of the symmetric part of B, within the MAX_DENSE_DIM cap. A
-      Jacobian that is not symmetric to 1e-10 gets symmetrized after a
-      SpectrumNotCertifiedReal warning; the symmetrized range is wrong
-      for genuinely asymmetric Jacobians, so such maps should provide the
-      spectrum hook instead.
+      Jacobian that is not symmetric to 1e-10 gets a
+      SpectrumNotCertifiedReal warning first. By Bendixson's theorem
+      (1902) the symmetric part's range encloses the real parts of all
+      eigenvalues of B, so it is valid but loose, and it is unsafe on a
+      non-normal Jacobian: on a convection-diffusion Jacobi map, cheb8
+      built on it grew the error 1.1e11 times before contracting. Such
+      maps should provide the spectrum hook instead.
     """
     x = _verify_fixed_point(fpmap, x_star, fp_tol)
 
@@ -445,7 +500,9 @@ def estimate_eigen_range(
     if _rel_asymmetry(B) > _REL_ASYM_TOL:
         warnings.warn(
             "Jacobian is not symmetric and the map does not certify a real "
-            "spectrum; estimating from the symmetrized matrix",
+            "spectrum; estimating from the symmetric part, whose range encloses "
+            "the real parts of the eigenvalues (Bendixson) but is loose, and "
+            "unsafe for a non-normal Jacobian",
             SpectrumNotCertifiedReal,
             stacklevel=2,
         )

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -55,30 +54,56 @@ class TraceRecord:
             raise InvalidInput("trace records must be finite")
 
 
+# The one float format of every output file: 17 significant digits read
+# back bit for bit.
+_FLOAT_SPEC = ".17g"
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+    return format(x, _FLOAT_SPEC)
+
+
+class _Echo:
+    """A file whose write returns its text, so that writerow on a
+    csv.writer over it returns the line it would have written."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+_CSV_LINE = csv.writer(_Echo, lineterminator="\n")
+
+
+def _omega_cells(omegas: np.ndarray) -> List[str]:
+    """_fmt of each omega, formatting each distinct value once. Values are
+    keyed by their bits, which keeps 0.0 and -0.0 apart."""
+    bits = omegas.view(np.int64).tolist()
+    distinct = list(dict.fromkeys(bits))
+    floats = np.array(distinct, dtype=np.int64).view(float).tolist()
+    text = dict(zip(distinct, map(_fmt, floats)))
+    return [text[b] for b in bits]
 
 
 def write_trace_csv(path, records: Sequence[TraceRecord]) -> None:
     """Write runs as rows (run_id, solver, k, error, omega).
 
     Every iterate gets a row; the omega cell of row k holds the factor
-    that produced that iterate and is empty at k = 0.
+    that produced that iterate and is empty at k = 0. Each record is
+    built as one string, with its csv-quoted run_id and solver cells made
+    once, and written in one call.
     """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
+        fh.write(_CSV_LINE.writerow(TRACE_HEADER))
         for rec in records:
-            n = len(rec.errors)
-            writer.writerows(
-                zip(
-                    repeat(rec.run_id, n),
-                    repeat(rec.solver, n),
-                    range(n),
-                    map(_fmt, rec.errors.tolist()),
-                    chain(("",), map(_fmt, rec.omegas.tolist())),
-                )
-            )
+            prefix = _CSV_LINE.writerow((rec.run_id, rec.solver, ""))[:-1]
+            errors = rec.errors.tolist()
+            rows = [f"{prefix}0,{errors[0]:{_FLOAT_SPEC}},\n"]
+            rows += [
+                f"{prefix}{k},{err:{_FLOAT_SPEC}},{omega}\n"
+                for k, err, omega in zip(range(1, len(errors)), errors[1:], _omega_cells(rec.omegas))
+            ]
+            fh.write("".join(rows))
 
 
 def write_rows_csv(path, rows: Sequence[dict]) -> None:

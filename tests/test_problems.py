@@ -11,6 +11,7 @@ from chebiter import (
     DimensionError,
     InvalidInput,
     NonFiniteValue,
+    NotConverged,
     ProximalProblem,
     SingularDiagonal,
     SparseRecoveryInstance,
@@ -39,6 +40,7 @@ from chebiter import (
     smooth_soft_shrink_grad,
     soft_shrink,
     softplus,
+    spectral,
     symmetric_eigenvalues,
     tanh_affine_map,
     tanh_equation_map,
@@ -650,6 +652,41 @@ class TestBlur:
             assert np.array_equal(hook(point), ours)
         assert np.any(q == 0.0)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 5), (8, 8), (28, 28)])
+    def test_inverse_kernel_matches_dense_solve(self, shape):
+        n = shape[0] * shape[1]
+        C = blur_matrix(*shape)
+        U_h, U_w, d = problems._band_eigen(*[problems._band(m) for m in shape])
+        cond = d.max() / d.min()
+        rng = np.random.default_rng(n)
+        for x in (rng.uniform(0.0, 1.0, n), rng.standard_normal(n)):
+            ref = np.linalg.solve(C, x)
+            got = problems._unblur(x, U_h, U_w, d)
+            assert np.max(np.abs(got - ref)) <= 8 * cond * np.finfo(float).eps * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("shape", [(40, 40), (13, 128), (128, 128)])
+    def test_inverse_kernel_inverts_blur_past_dense_cap(self, shape):
+        n = shape[0] * shape[1]
+        bands = [problems._band(m) for m in shape]
+        U_h, U_w, d = problems._band_eigen(*bands)
+        cond = d.max() / d.min()
+        rng = np.random.default_rng(n)
+        for x in (rng.uniform(0.0, 1.0, n), rng.standard_normal(n)):
+            back = problems._blur(problems._unblur(x, U_h, U_w, d), *bands)
+            assert np.max(np.abs(back - x)) <= 8 * cond * np.finfo(float).eps * np.max(np.abs(x))
+
+    def test_blur_is_positive_definite_with_margin(self):
+        # The zero-q shortcut and the shift-invert lower end both rest on
+        # C's eigenvalues 1.4 + 0.1 lam_h lam_w staying above 0.25.
+        lams = [np.linalg.eigvalsh(problems._band(m)) for m in range(1, 65)]
+        worst = min(
+            np.min(problems._BLUR_SELF + problems._BLUR_WEIGHT * np.outer(lh, lw))
+            for lh in lams
+            for lw in lams
+        )
+        assert worst > 0.25
+
+
     def test_dense_matrix_only_within_cap(self):
         # 40 x 40 is past MAX_DENSE_DIM: the dense C and the jacobian hook are
         # refused, the matrix-free range certificate is not.
@@ -673,6 +710,116 @@ class TestBlur:
         spec = fpmap.jacobian_spectrum(img.ravel())
         expect = 1.0 - 0.8 * np.asarray(forward.jacobian_spectrum(img.ravel()))
         assert np.max(np.abs(np.sort(spec) - np.sort(expect))) <= 1e-12
+
+
+def blur_pair(height, width):
+    """(C matvec, C^-1 matvec) as blur_map hands them to the certificate."""
+    bands = [problems._band(m) for m in (height, width)]
+    eigen = problems._band_eigen(*bands)
+    return (lambda x: problems._blur(x, *bands)), (lambda x: problems._unblur(x, *eigen))
+
+
+class TestShiftInvertCertificate:
+    """The blur's two-run certificate on S = sqrt(q) C sqrt(q)."""
+
+    @staticmethod
+    def extreme_q(n, seed):
+        q = np.random.default_rng(seed).uniform(0.05, 0.25, n)
+        q[::7] = 1e-300
+        q[3::11] = 1e-16
+        return q
+
+    @pytest.mark.parametrize("shape", [(8, 8), (28, 28)])
+    def test_tiny_slopes_stay_finite_and_exact(self, shape):
+        n = shape[0] * shape[1]
+        q = self.extreme_q(n, n)
+        dense = real_spectrum_via_similarity(blur_matrix(*shape), q)
+        ours = spectral._similarity_spectrum(blur_pair(*shape), q)
+        assert np.all(np.isfinite(ours))
+        assert np.max(np.abs(ours - dense[[0, -1]])) <= 1e-12 * np.max(np.abs(dense))
+
+    def test_zero_slope_gives_exact_zero_lower_end(self):
+        q = self.extreme_q(64, 1)
+        q[10] = 0.0
+        ours = spectral._similarity_spectrum(blur_pair(8, 8), q)
+        assert ours[0] == 0.0
+        dense = real_spectrum_via_similarity(blur_matrix(8, 8), q)
+        assert abs(ours[1] - dense[-1]) <= 1e-12 * dense[-1]
+
+    @pytest.mark.parametrize("shape", [(8, 8), (28, 28)])
+    def test_lower_end_residual_on_dense_s(self, shape, monkeypatch):
+        # The lower end is the Rayleigh quotient of the inverse run's last
+        # Ritz vector y; its residual on the dense S meets the certificate.
+        seen = []
+        lanczos = spectral._lanczos_extremes
+
+        def spy(matvec, n, ends=(0, -1), rayleigh=None):
+            if rayleigh is not None:
+                inner = rayleigh
+
+                def rayleigh(y):
+                    seen.append((y, *inner(y)))
+                    return seen[-1][1:]
+
+            return lanczos(matvec, n, ends, rayleigh)
+
+        monkeypatch.setattr(spectral, "_lanczos_extremes", spy)
+        n = shape[0] * shape[1]
+        q = np.random.default_rng(n + 2).uniform(0.05, 0.25, n)
+        s = np.sqrt(q)
+        S = s[:, None] * blur_matrix(*shape) * s[None, :]
+        lower, upper = spectral._similarity_spectrum(blur_pair(*shape), q)
+        y, rho, _ = seen[-1]
+        assert lower == rho
+        lam = np.linalg.eigvalsh(S)
+        assert np.linalg.norm(S @ y - rho * y) <= 1e-12 * np.max(np.abs(lam))
+        assert abs(upper - lam[-1]) <= 1e-12 * lam[-1]
+
+    def test_each_run_rejects_non_finite_products(self):
+        blur, unblur = blur_pair(8, 8)
+        q = np.random.default_rng(3).uniform(0.05, 0.25, 64)
+        for bad in (np.inf, np.nan):
+
+            def poisoned(v):
+                return np.full(64, bad)
+
+            with pytest.raises(NonFiniteValue):
+                spectral._similarity_spectrum((poisoned, unblur), q)
+            with pytest.raises(NonFiniteValue):
+                spectral._similarity_spectrum((blur, poisoned), q)
+
+    def test_each_run_raises_at_the_step_cap(self, monkeypatch):
+        blur, unblur = blur_pair(28, 28)
+        inverse_calls = []
+
+        def counted(v):
+            inverse_calls.append(1)
+            return unblur(v)
+
+        monkeypatch.setattr(spectral, "_LANCZOS_MAX_STEPS", 20)
+        q = np.random.default_rng(4).uniform(0.05, 0.25, 784)
+        with pytest.raises(NotConverged):
+            spectral._similarity_spectrum((blur, counted), q)
+        assert not inverse_calls
+        # One steep pixel: S is nearly rank one, so the upper end converges
+        # within the cap, while the inverse run needs about 40 steps.
+        q = np.full(784, 1e-16)
+        q[400] = 1.0
+        with pytest.raises(NotConverged):
+            spectral._similarity_spectrum((blur, counted), q)
+        assert len(inverse_calls) == 20
+
+    def test_repeat_calls_give_identical_bits(self):
+        hook = blur_map(28, 28).jacobian_spectrum
+        x = gen_synthetic_image(28, 28, seed=2).ravel()
+        first = hook(x)
+        assert hook(x).tobytes() == first.tobytes()
+        q = self.extreme_q(784, 9)
+        pair = blur_pair(28, 28)
+        assert (
+            spectral._similarity_spectrum(pair, q).tobytes()
+            == spectral._similarity_spectrum(pair, q).tobytes()
+        )
 
 
 class TestSyntheticImages:

@@ -139,6 +139,29 @@ class TestTraceCsvOracle:
     def test_no_records(self, tmp_path):
         self.assert_matches_oracle(tmp_path, [])
 
+    def test_signed_zero_omegas_stay_apart(self, tmp_path):
+        # 0.0 and -0.0 are one dict key but two cells, "0" and "-0".
+        omegas = np.array([0.0, -0.0, 0.0, 1.5, -0.0])
+        rec = TraceRecord("z", "s", np.arange(6.0), omegas)
+        self.assert_matches_oracle(tmp_path, [rec])
+        lines = (tmp_path / "ours.csv").read_text().splitlines()
+        assert [line.split(",")[4] for line in lines[2:]] == ["0", "-0", "0", "1.5", "-0"]
+
+    def test_many_distinct_omegas(self, tmp_path):
+        rng = np.random.default_rng(5)
+        omegas = np.tile(rng.uniform(-3.0, 3.0, size=700), 3)
+        rec = TraceRecord("many", "cheb700", rng.uniform(size=omegas.size + 1), omegas)
+        self.assert_matches_oracle(tmp_path, [rec, *sample_records()])
+
+    @pytest.mark.parametrize("text", ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "100%", "%s%d", "{k}", ""])
+    def test_run_id_and_solver_cells_are_quoted(self, text, tmp_path):
+        recs = [
+            TraceRecord(text, "plain", np.array([2.0, 1.0]), np.array([1.0])),
+            TraceRecord("r", text, np.array([3.0, 2.0, 1.0]), np.array([0.5, 2.0])),
+            TraceRecord(text, text, np.array([1.0]), np.array([])),
+        ]
+        self.assert_matches_oracle(tmp_path, recs)
+
 
 class TestPgm:
     def test_header_and_quantization(self, tmp_path):
