@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -43,6 +43,18 @@ __all__ = [
     "run_inertial",
 ]
 
+# An iterate whose norm exceeds this ends the run as divergence. Finite, so
+# every accepted iterate, and hence every recorded error, is finite.
+_DIVERGENCE_NORM = 1e12
+
+
+def _index(value, what: str) -> int:
+    """value as a Python int, for ints and numpy integers alone."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{what} must be an integer, got {value!r}") from None
+
 
 @dataclass(frozen=True)
 class FixedPointMap:
@@ -60,12 +72,13 @@ class FixedPointMap:
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    name: str = ""
     jacobian_spectrum: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
-        if int(self.dim) < 1:
+        dim = _index(self.dim, "map dimension")
+        if dim < 1:
             raise InvalidInput(f"map dimension must be >= 1, got {self.dim}")
+        object.__setattr__(self, "dim", dim)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.eval(x)
@@ -131,15 +144,16 @@ class InertialSchedule:
 
     def __post_init__(self) -> None:
         factors = tuple(float(w) for w in self.factors)
-        if int(self.period) < 1:
+        period = _index(self.period, "schedule period")
+        if period < 1:
             raise InvalidInput(f"schedule period must be >= 1, got {self.period}")
-        if len(factors) != self.period:
+        if len(factors) != period:
             raise InvalidInput(
                 f"schedule declares period {self.period} but has {len(factors)} factors"
             )
         if not all(math.isfinite(w) for w in factors):
             raise NonFiniteValue(f"schedule factors must be finite, got {factors}")
-        object.__setattr__(self, "period", int(self.period))
+        object.__setattr__(self, "period", period)
         object.__setattr__(self, "factors", factors)
 
 
@@ -153,7 +167,7 @@ def chebyshev_roots(rng: EigenRange, period: int) -> np.ndarray:
     exactly so odd periods hit the interval center and period 1 reduces to
     the single root (a + b)/2 with no trigonometric residue.
     """
-    T = int(period)
+    T = _index(period, "period")
     if T < 1:
         raise InvalidInput(f"period must be >= 1, got {period}")
     k = np.arange(T)
@@ -162,30 +176,20 @@ def chebyshev_roots(rng: EigenRange, period: int) -> np.ndarray:
     return rng.center + rng.halfwidth * c
 
 
-def chebyshev_schedule(
-    rng: EigenRange, period: int, permutation: Optional[Sequence[int]] = None
-) -> InertialSchedule:
+def chebyshev_schedule(rng: EigenRange, period: int) -> InertialSchedule:
     """Relaxation factors w_k = 1 / z_k from the Chebyshev roots on [a, b].
 
     Requires a > 0 so no root can vanish. Factors come out in the natural
-    root order (increasing magnitude); permutation, if given, reorders them
-    within the period. The per-period contraction guarantee is independent
-    of the order, but transient overshoot inside a period is not.
+    root order (increasing magnitude). The per-period contraction
+    guarantee is independent of the order, but transient overshoot inside
+    a period is not.
     """
     if rng.a <= 0.0:
         raise InvalidRange(
             f"Chebyshev factors need a > 0 so the roots are nonzero, got a={rng.a}"
         )
-    roots = chebyshev_roots(rng, period)
-    factors = 1.0 / roots
-    if permutation is not None:
-        perm = list(permutation)
-        if sorted(perm) != list(range(int(period))):
-            raise InvalidInput(
-                f"permutation must reorder 0..{int(period) - 1}, got {permutation}"
-            )
-        factors = factors[perm]
-    return InertialSchedule(period=int(period), factors=tuple(factors), range=rng)
+    factors = 1.0 / chebyshev_roots(rng, period)
+    return InertialSchedule(period=period, factors=tuple(factors), range=rng)
 
 
 def constant_sor_schedule(rng: EigenRange) -> InertialSchedule:
@@ -203,35 +207,20 @@ def constant_sor_schedule(rng: EigenRange) -> InertialSchedule:
 class StopCriteria:
     """Stopping rules for the runner.
 
-    step_tol stops once |x_{k+1} - x_k| <= step_tol; the default of 0 only
-    triggers on an exactly stationary iterate, so runs normally go to
-    max_iters the way the reference experiments do. divergence_threshold
-    aborts a run whose iterate norm explodes; it must be finite so that
-    every accepted iterate, and hence every recorded error, is finite.
-    error_target, when set, stops after the first accepted step whose
-    error |x_{k+1} - x_ref| is at most the target; it needs a reference
-    point, since without one the errors are only known after the run.
+    A run goes to max_iters the way the reference experiments do. Two
+    rules are fixed: a step of norm exactly 0 stops it (tolerance), and a
+    step whose result is non-finite or has norm above 1e12 ends it
+    (divergence). error_target, when set, stops it after the first
+    accepted step whose error |x_{k+1} - x_ref| is at most the target.
     """
 
     max_iters: int
-    step_tol: float = 0.0
-    divergence_threshold: float = 1e12
     error_target: Optional[float] = None
 
     def __post_init__(self) -> None:
-        try:
-            max_iters = operator.index(self.max_iters)
-        except TypeError:
-            raise InvalidInput(f"max_iters must be an integer, got {self.max_iters!r}") from None
+        max_iters = _index(self.max_iters, "max_iters")
         if max_iters < 1:
             raise InvalidInput(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (self.step_tol >= 0.0):
-            raise InvalidInput(f"step_tol must be >= 0, got {self.step_tol}")
-        if not (0.0 < self.divergence_threshold < math.inf):
-            raise InvalidInput(
-                "divergence_threshold must be positive and finite, "
-                f"got {self.divergence_threshold}"
-            )
         if self.error_target is not None and not (0.0 <= self.error_target < math.inf):
             raise InvalidInput(
                 f"error_target must be finite and >= 0, got {self.error_target}"
@@ -259,7 +248,6 @@ class IterationTrace:
     errors: np.ndarray
     factors_used: np.ndarray
     steps: int
-    converged: bool
     stop_reason: StopReason
     x_final: np.ndarray
 
@@ -318,44 +306,36 @@ def run_inertial(
     schedule: InertialSchedule,
     x0: np.ndarray,
     stop: StopCriteria,
-    x_ref: Optional[np.ndarray] = None,
+    x_ref: np.ndarray,
 ) -> IterationTrace:
     """Run the relaxed iteration from x0 under the given schedule.
 
-    Errors are measured against x_ref when provided. Without a reference
-    the final iterate stands in for x*, which biases the last few entries
-    of the error curve low; callers that care should pass the true fixed
-    point, and must pass it to use stop.error_target. Partial periods run
-    in natural factor order; the per-period contraction guarantee of the
-    Chebyshev schedule only applies at multiples of the period.
+    Errors are measured against x_ref, usually the true fixed point.
+    Partial periods run in natural factor order; the per-period
+    contraction guarantee of the Chebyshev schedule only applies at
+    multiples of the period.
 
-    A step whose result is non-finite or whose norm exceeds the divergence
-    threshold is rejected: the trace ends at the last accepted iterate, so
-    every recorded error is finite. The run is deterministic: same inputs,
-    same trace, bit for bit.
+    A step whose result is non-finite or whose norm exceeds 1e12 is
+    rejected: the trace ends at the last accepted iterate, so every
+    recorded error is finite. The run is deterministic: same inputs, same
+    trace, bit for bit.
     """
     x = _as_vector(x0, fpmap.dim, "x0").copy()
     if not np.isfinite(x).all():
         raise NonFiniteValue("x0 has non-finite components")
-    ref = None if x_ref is None else _as_vector(x_ref, fpmap.dim, "x_ref")
-    if ref is not None and not np.isfinite(ref).all():
+    ref = _as_vector(x_ref, fpmap.dim, "x_ref")
+    if not np.isfinite(ref).all():
         raise NonFiniteValue("x_ref has non-finite components")
     target = stop.error_target
-    if target is not None and ref is None:
-        raise InvalidInput(
-            "error_target needs x_ref: without it the errors are known only after the run"
-        )
 
-    iterates = [x.copy()] if ref is None else None
-    errors = [] if ref is None else [_norm(x - ref)]
+    errors = [_norm(x - ref)]
     # Against a zero reference the error is the iterate's own norm, which
     # the divergence test computes anyway (zeros of either sign give the
     # same squares).
-    zero_ref = ref is not None and not ref.any()
+    zero_ref = not ref.any()
     factors_used = []
     stop_reason = StopReason.MAX_ITERS
     factors, period = schedule.factors, schedule.period
-    threshold, step_tol = stop.divergence_threshold, stop.step_tol
 
     # Overflow in a step, or in the squared norm of a finite iterate, ends
     # as a non-finite step or an infinite norm, and both are handled as
@@ -373,35 +353,24 @@ def run_inertial(
                 stop_reason = StopReason.DIVERGENCE
                 break
             size = math.sqrt(x_new.dot(x_new))
-            if not size <= threshold:
+            if not size <= _DIVERGENCE_NORM:
                 stop_reason = StopReason.DIVERGENCE
                 break
             factors_used.append(w)
-            if zero_ref:
-                errors.append(size)
-            elif ref is not None:
-                errors.append(_norm(x_new - ref))
-            else:
-                iterates.append(x_new.copy())
+            errors.append(size if zero_ref else _norm(x_new - ref))
             step_norm = _norm(x_new - x)
             x = x_new
-            if step_norm <= step_tol:
+            if step_norm == 0.0:
                 stop_reason = StopReason.TOLERANCE
                 break
             if target is not None and errors[-1] <= target:
                 stop_reason = StopReason.TARGET
                 break
 
-    steps = len(factors_used)
-    if ref is None:
-        ref = iterates[-1]
-        errors = [_norm(it - ref) for it in iterates]
-
     return IterationTrace(
         errors=np.asarray(errors, dtype=float),
         factors_used=np.asarray(factors_used, dtype=float),
-        steps=steps,
-        converged=stop_reason in (StopReason.TOLERANCE, StopReason.TARGET),
+        steps=len(factors_used),
         stop_reason=stop_reason,
         x_final=x,
     )

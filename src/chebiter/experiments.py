@@ -41,7 +41,6 @@ from .problems import (
     tanh_equation_map,
 )
 from .spectral import (
-    convergence_bound,
     estimate_eigen_range,
     per_step_rate,
     per_step_rate_limit,
@@ -146,17 +145,19 @@ def bounds_rows(
     rng = EigenRange(a, b)
     rows = []
     for T in periods:
-        cb = convergence_bound(rng, T)
+        # The limit first: it raises InvalidRange for a <= 0 before the
+        # constant-factor rate below could divide by a + b = 0.
+        limit = per_step_rate_limit(rng)
         rows.append(
             {
                 "period": int(T),
                 "range_a": rng.a,
                 "range_b": rng.b,
                 "sor_factor": 2.0 / (rng.a + rng.b),
-                "sor_rate": cb.sor_rate,
-                "period_bound": cb.period_bound,
-                "per_step": cb.per_step,
-                "limit": cb.limit,
+                "sor_rate": (rng.b - rng.a) / (rng.b + rng.a),
+                "period_bound": period_contraction_bound(rng, T),
+                "per_step": per_step_rate(rng, T),
+                "limit": limit,
             }
         )
     return rows
@@ -218,7 +219,8 @@ def run_toy_power(
     result = ExperimentResult("toy_power")
     fpmap = power_map()
     x0 = np.array([2.0, 2.0])
-    pilot = run_inertial(fpmap, plain_schedule(), x0, StopCriteria(max_iters=60))
+    # Only the pilot's x_final is read; against the origin its errors come free.
+    pilot = run_inertial(fpmap, plain_schedule(), x0, StopCriteria(max_iters=60), np.zeros(2))
     x_star = pilot.x_final
     rng = estimate_eigen_range(fpmap, x_star).clipped()
     schedules = _standard_schedules(rng, periods)
@@ -265,13 +267,16 @@ def run_tanh_solve(
     ratio: the reference point is the pilot's endpoint, which a scheduled
     run can land on exactly.
     """
+    if not periods:
+        raise InvalidInput(f"periods must name at least one period, got {periods!r}")
     result = ExperimentResult("tanh_solve")
     fpmap = tanh_equation_map(np.array([0.1, 0.6]))
     x0 = np.zeros(fpmap.dim)
     # 1e-6 short of 2: the pilot range the study has always run, kept for its bytes.
     coarse = EigenRange(1.0, 2.0 - 1e-6)
+    # Only the pilot's x_final is read; against the origin its errors come free.
     pilot = run_inertial(
-        fpmap, chebyshev_schedule(coarse, periods[0]), x0, StopCriteria(max_iters=40)
+        fpmap, chebyshev_schedule(coarse, periods[0]), x0, StopCriteria(max_iters=40), np.zeros(2)
     )
     x_star = pilot.x_final
     rng = estimate_eigen_range(fpmap, x_star).clipped()

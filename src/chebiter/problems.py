@@ -259,9 +259,7 @@ def build_ista(instance: SparseRecoveryInstance) -> ProximalProblem:
         return smooth_soft_shrink(A @ x + b, tau)
 
     jac, spectrum = _factored_jacobian(A, lambda x: smooth_soft_shrink_grad(A @ x + b, tau))
-    fpmap = FixedPointMap(
-        dim=n, eval=step, jacobian=jac, jacobian_spectrum=spectrum, name="ista"
-    )
+    fpmap = FixedPointMap(dim=n, eval=step, jacobian=jac, jacobian_spectrum=spectrum)
     return ProximalProblem(instance=instance, fpmap=fpmap, A=A, b=b, gamma=gamma, tau=tau)
 
 
@@ -329,7 +327,6 @@ def jacobi_map(P, q) -> FixedPointMap:
         eval=lambda x: dinv * (q - R @ x),
         jacobian=jac,
         jacobian_spectrum=spectrum if np.all(d > 0.0) else None,
-        name="jacobi",
     )
 
 
@@ -398,7 +395,6 @@ def tanh_affine_map(A) -> FixedPointMap:
         eval=lambda x: np.tanh(A @ x),
         jacobian=jac,
         jacobian_spectrum=spectrum,
-        name="tanh-affine",
     )
 
 
@@ -423,7 +419,6 @@ def tanh_equation_map(y) -> FixedPointMap:
         eval=lambda x: y - np.tanh(x),
         jacobian=jac,
         jacobian_spectrum=lambda x: -1.0 / np.cosh(x) ** 2,
-        name="tanh-equation",
     )
 
 
@@ -450,7 +445,7 @@ def power_map() -> FixedPointMap:
             ]
         )
 
-    return FixedPointMap(dim=2, eval=step, jacobian=jac, name="power-toy")
+    return FixedPointMap(dim=2, eval=step, jacobian=jac)
 
 
 def richardson_map(forward: FixedPointMap, y, relax: float) -> FixedPointMap:
@@ -483,13 +478,7 @@ def richardson_map(forward: FixedPointMap, y, relax: float) -> FixedPointMap:
         def spectrum(x):
             return 1.0 - relax * np.asarray(forward.jacobian_spectrum(x), dtype=float)
 
-    return FixedPointMap(
-        dim=forward.dim,
-        eval=step,
-        jacobian=jac,
-        jacobian_spectrum=spectrum,
-        name=f"richardson({forward.name})" if forward.name else "richardson",
-    )
+    return FixedPointMap(dim=forward.dim, eval=step, jacobian=jac, jacobian_spectrum=spectrum)
 
 
 # The blur kernel: each pixel's output is _BLUR_SELF times its own value
@@ -625,7 +614,6 @@ def blur_map(height: int, width: int) -> FixedPointMap:
         eval=step,
         jacobian=jacobian,
         jacobian_spectrum=spectrum,
-        name="sigmoid-blur",
     )
 
 

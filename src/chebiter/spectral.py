@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import EigenRange, FixedPointMap, InertialSchedule, _norm
+from .core import EigenRange, FixedPointMap, InertialSchedule, _index, _norm
 from .errors import (
     DimensionError,
     InvalidInput,
@@ -37,8 +36,6 @@ __all__ = [
     "period_contraction_bound",
     "per_step_rate",
     "per_step_rate_limit",
-    "ConvergenceBound",
-    "convergence_bound",
     "period_spectral_radius",
     "jacobian_fd",
     "symmetric_eigenvalues",
@@ -49,14 +46,15 @@ __all__ = [
 # Largest n the dense paths accept: symmetric_eigenvalues, the similarity
 # spectrum of a dense A and the dense path of estimate_eigen_range. Their
 # O(n^2) memory and O(n^3) time were only checked up to this size. A map
-# that gives A as a matvec (the blur) is certified by Lanczos, without cap.
+# that gives A as a matvec and its inverse (the blur) is certified by
+# Lanczos, without cap.
 MAX_DENSE_DIM = 1024
 
 _REL_ASYM_TOL = 1e-10
 
 # Constant stopping rules of _lanczos_extremes: the start vector's seed, the
-# bound on both extreme Ritz residuals relative to the largest |Ritz value|,
-# the steps between two Ritz checks, and the step cap.
+# bound on the top Ritz residual relative to the top Ritz value, the steps
+# between two Ritz checks, and the step cap.
 _LANCZOS_SEED = 0
 _LANCZOS_TOL = 1e-12
 _LANCZOS_CHECK = 20
@@ -111,23 +109,17 @@ def period_polynomial(lam, schedule: InertialSchedule):
     return out
 
 
-def _check_bound_range(rng: EigenRange) -> None:
-    if rng.a <= 0.0:
-        raise InvalidRange(
-            f"contraction bound needs a > 0, got range ({rng.a}, {rng.b})"
-        )
-
-
 def _period_exponent(rng: EigenRange, period: int) -> float:
     """t = T * acosh((b + a)/(b - a)), the exponent of every bound below.
 
     Checks T >= 1 and a > 0. A zero-width range gives t = inf, which
     makes each bound exactly 0.
     """
-    T = int(period)
+    T = _index(period, "period")
     if T < 1:
         raise InvalidInput(f"period must be >= 1, got {period}")
-    _check_bound_range(rng)
+    if rng.a <= 0.0:
+        raise InvalidRange(f"contraction bound needs a > 0, got range ({rng.a}, {rng.b})")
     if rng.a == rng.b:
         return math.inf
     return T * math.acosh((rng.b + rng.a) / (rng.b - rng.a))
@@ -164,39 +156,6 @@ def per_step_rate_limit(rng: EigenRange) -> float:
     reaches (b - a)/(b + a), which is worse whenever a < b.
     """
     return math.exp(-_period_exponent(rng, 1))
-
-
-@dataclass(frozen=True)
-class ConvergenceBound:
-    """Contraction guarantees for one range and period.
-
-    period_bound is the worst-case error ratio across a full period,
-    per_step its T-th root, and limit the infimum of per_step over all
-    periods. sor_rate is the rate of the best constant factor for the
-    same range, (b - a)/(b + a), for comparison.
-    """
-
-    range: EigenRange
-    period: int
-    period_bound: float
-    per_step: float
-    limit: float
-    sor_rate: float
-
-
-def convergence_bound(rng: EigenRange, period: int) -> ConvergenceBound:
-    """Bundle the period bound, per-step rate, limit, and constant-factor
-    rate for a range."""
-    _check_bound_range(rng)
-    sor = (rng.b - rng.a) / (rng.b + rng.a)
-    return ConvergenceBound(
-        range=rng,
-        period=int(period),
-        period_bound=period_contraction_bound(rng, period),
-        per_step=per_step_rate(rng, period),
-        limit=per_step_rate_limit(rng),
-        sor_rate=sor,
-    )
 
 
 def period_spectral_radius(eigenvalues, schedule: InertialSchedule) -> float:
@@ -298,10 +257,9 @@ def _similarity_spectrum(A, q) -> np.ndarray:
     be a finite square float array with relative asymmetry within
     _REL_ASYM_TOL (as when a map builder checked it once), gets the full
     ascending spectrum from eigvalsh, within the MAX_DENSE_DIM cap. A
-    matvec v -> A v gets only the smallest and the largest eigenvalue,
-    from _lanczos_extremes on S: v -> sqrt(q) * A(sqrt(q) * v), at any
-    size. A pair (matvec, inverse matvec) of a positive definite A gets
-    the same two ends from two runs (_shift_invert_extremes).
+    pair (matvec, inverse matvec) of a positive definite A gets only the
+    smallest and the largest eigenvalue, at any size, from two Lanczos
+    runs (_shift_invert_extremes).
     """
     dense = isinstance(A, np.ndarray)
     q = np.asarray(q, dtype=float)
@@ -314,11 +272,8 @@ def _similarity_spectrum(A, q) -> np.ndarray:
         raise NonFiniteValue("q has non-finite entries")
     if np.any(q < 0.0):
         raise InvalidInput("q must be nonnegative for the similarity to be real")
-    if isinstance(A, tuple):
-        return _shift_invert_extremes(*A, q)
     if not dense:
-        s = np.sqrt(q)
-        return _lanczos_extremes(lambda v: s * A(s * v), n)
+        return _shift_invert_extremes(*A, q)
 
     support = q > 0.0
     k = int(np.count_nonzero(support))
@@ -353,7 +308,7 @@ def _shift_invert_extremes(matvec, inverse, q: np.ndarray) -> np.ndarray:
     def S(v):
         return s * matvec(s * v)
 
-    upper = _lanczos_extremes(S, n, ends=(-1,))[0]
+    upper = _lanczos_extremes(S, n)
     q_min = q.min()
     if q_min == 0.0:
         return np.array([0.0, upper])
@@ -364,31 +319,28 @@ def _shift_invert_extremes(matvec, inverse, q: np.ndarray) -> np.ndarray:
         rho = y @ Sy
         return rho, _norm(Sy - rho * y) / upper
 
-    lower = _lanczos_extremes(lambda v: r * inverse(r * v), n, ends=(-1,), rayleigh=rayleigh)[0]
+    lower = _lanczos_extremes(lambda v: r * inverse(r * v), n, rayleigh)
     return np.array([lower, upper])
 
 
-def _lanczos_extremes(matvec, n: int, ends=(0, -1), rayleigh=None) -> np.ndarray:
-    """Extreme eigenvalues of a symmetric operator on R^n: those at the
-    ends asked for, indices into the ascending Ritz values, as an array.
+def _lanczos_extremes(matvec, n: int, rayleigh=None) -> float:
+    """Largest eigenvalue of a symmetric operator on R^n.
 
     Lanczos (1950) from a fixed-seed normal start, with the three-term
     recurrence followed by one Gram-Schmidt pass against every stored
     vector (full reorthogonalization). Every _LANCZOS_CHECK steps, and
     when beta_m falls below _LANCZOS_TOL max |alpha|, the tridiagonal
-    T_m is diagonalized. By default the run stops once the Ritz residual
-    beta_m |s_m| of each asked end is at most _LANCZOS_TOL max |theta|
-    over those ends, and returns the Ritz values. rayleigh, given with
-    one end, judges that end on another operator instead: it maps the
-    end's unit Ritz vector y to the value to return and its residual
-    relative to the tolerance's scale, and the run stops once that is at
-    most _LANCZOS_TOL. Either way the run also stops at m = n, where the
-    Ritz pairs are exact. The same operator gives the same bits. Raises
-    NonFiniteValue on a non-finite product and NotConverged when
-    min(n, _LANCZOS_MAX_STEPS) steps do not meet the rule; the stored
-    basis is at most that many vectors of length n.
+    T_m is diagonalized. By default the run stops once the top Ritz
+    residual beta_m |s_m| is at most _LANCZOS_TOL |theta| and returns the
+    top Ritz value theta. rayleigh judges the top end on another operator
+    instead: it maps the unit top Ritz vector y to the value to return
+    and its residual relative to the tolerance's scale, and the run stops
+    once that is at most _LANCZOS_TOL. Either way the run also stops at
+    m = n, where the Ritz pairs are exact. The same operator gives the
+    same bits. Raises NonFiniteValue on a non-finite product and
+    NotConverged when min(n, _LANCZOS_MAX_STEPS) steps do not meet the
+    rule; the stored basis is at most that many vectors of length n.
     """
-    ends = list(ends)
     limit = min(n, _LANCZOS_MAX_STEPS)
     V = np.empty((limit, n))
     alpha = np.empty(limit)
@@ -413,19 +365,19 @@ def _lanczos_extremes(matvec, n: int, ends=(0, -1), rayleigh=None) -> np.ndarray
             off = beta[: m - 1]
             theta, S = np.linalg.eigh(np.diag(alpha[:m]) + np.diag(off, 1) + np.diag(off, -1))
             if rayleigh is None:
-                values = theta[ends]
-                residual = beta[k] * np.abs(S[-1, ends])
-                bound = _LANCZOS_TOL * np.max(np.abs(values))
+                value = theta[-1]
+                residual = beta[k] * abs(S[-1, -1])
+                bound = _LANCZOS_TOL * abs(value)
             else:
-                y = S[:, ends[0]] @ V[:m]
-                value, rel = rayleigh(y / _norm(y))
-                values, residual, bound = np.array([value]), np.array([rel]), _LANCZOS_TOL
-            if m == n or np.all(residual <= bound):
-                return values
+                y = S[:, -1] @ V[:m]
+                value, residual = rayleigh(y / _norm(y))
+                bound = _LANCZOS_TOL
+            if m == n or residual <= bound:
+                return value
         v = w / beta[k]
     raise NotConverged(
-        f"Lanczos did not resolve the extreme eigenvalues within {limit} steps "
-        f"(n = {n}); residuals " + ", ".join(f"{r:.3e}" for r in residual)
+        f"Lanczos did not resolve the top eigenvalue within {limit} steps "
+        f"(n = {n}); residual {residual:.3e}"
     )
 
 

@@ -252,12 +252,12 @@ def test_criterion_09_packaged_maps_contract():
     ranges["tanh-gram"] = estimate_eigen_range(tanh_affine_map(A), np.zeros(128))
 
     pm = power_map()
-    pilot = run_inertial(pm, plain_schedule(), np.array([2.0, 2.0]), StopCriteria(60))
+    pilot = run_inertial(pm, plain_schedule(), np.array([2.0, 2.0]), StopCriteria(60), np.zeros(2))
     ranges["power"] = estimate_eigen_range(pm, pilot.x_final)
 
     tm = tanh_equation_map(np.array([0.1, 0.6]))
     coarse = EigenRange(1.0, 2.0 - 1e-6)
-    pilot = run_inertial(tm, chebyshev_schedule(coarse, 8), np.zeros(2), StopCriteria(40))
+    pilot = run_inertial(tm, chebyshev_schedule(coarse, 8), np.zeros(2), StopCriteria(40), np.zeros(2))
     ranges["tanh-solve"] = estimate_eigen_range(tm, pilot.x_final)
 
     sp = gen_sparse_instance(256, 128, 0.1, 0.1, 0)

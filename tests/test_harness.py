@@ -4,6 +4,8 @@ Driver tests check the study results against the frozen reference
 numbers from the module tests; CLI tests cover settings precedence,
 exit codes, and byte-identical reruns.
 """
+import dataclasses
+import inspect
 import math
 import os
 import re
@@ -19,7 +21,7 @@ import chebiter.problems
 from chebiter import cli
 from chebiter.cli import EX_CONFIG, EX_IOERR, EX_OK, EX_USAGE, main
 from chebiter.core import FixedPointMap, StopCriteria, plain_schedule, run_inertial
-from chebiter.errors import InvalidRange
+from chebiter.errors import InvalidInput, InvalidRange
 from chebiter.experiments import (
     bounds_rows,
     run_deblur,
@@ -66,9 +68,12 @@ class TestBoundsRows:
             assert row["per_step"] > row["limit"]
 
     def test_rejects_nonpositive_left_end(self):
-        # raised by convergence_bound, the one place that needs a > 0
+        # raised by the bounds, before the constant-factor rate could
+        # divide by a + b = 0
         with pytest.raises(InvalidRange):
             bounds_rows(0.0, 1.0, [2])
+        with pytest.raises(InvalidRange):
+            bounds_rows(-1.0, 1.0, [2])
 
 
 class TestJacobiDriver:
@@ -107,6 +112,10 @@ class TestToyDrivers:
         assert res.headline["solution_2"] == pytest.approx(TANH_SOLVE_X[1], abs=1e-9)
         rows = by_solver(res)
         assert rows["plain"]["final_error"] >= 10.0 * rows["cheb8"]["final_error"]
+
+    def test_tanh_solve_needs_a_period(self):
+        with pytest.raises(InvalidInput):
+            run_tanh_solve(None, periods=())
 
     def test_tanh_solve_runs_every_period(self):
         res = run_tanh_solve(None, periods=(1, 4, 8))
@@ -406,8 +415,7 @@ CLI_FLAGS = {
 PACKAGE_NAMES = """
     EigenRange FixedPointMap InertialSchedule IterationTrace StopCriteria StopReason
     chebyshev_roots chebyshev_schedule constant_sor_schedule inertial_step plain_schedule
-    run_inertial ConvergenceBound chebyshev_eval convergence_bound
-    estimate_eigen_range jacobian_fd monic_chebyshev per_step_rate per_step_rate_limit
+    run_inertial chebyshev_eval estimate_eigen_range jacobian_fd monic_chebyshev per_step_rate per_step_rate_limit
     period_contraction_bound period_polynomial period_spectral_radius
     real_spectrum_via_similarity symmetric_eigenvalues FistaResult JacobiInstance
     ProximalProblem SparseRecoveryInstance blur_map blur_matrix build_ista deblur_map
@@ -444,10 +452,22 @@ class TestSurface:
         assert set(settings) == {k.replace("-", "_") for k in CLI_FLAGS[command]}
 
     def test_package_exports(self):
-        assert len(PACKAGE_NAMES) == 80
+        assert len(PACKAGE_NAMES) == 78
         assert sorted(chebiter.__all__) == sorted(PACKAGE_NAMES)
         for name in PACKAGE_NAMES:
             assert hasattr(chebiter, name), name
+
+    def test_parameter_and_field_count(self):
+        # Every public parameter and dataclass field is a knob to document
+        # and keep working; a new one should be a visible choice.
+        count = 0
+        for name in chebiter.__all__:
+            obj = getattr(chebiter, name)
+            if dataclasses.is_dataclass(obj):
+                count += len(dataclasses.fields(obj))
+            elif inspect.isfunction(obj):
+                count += len(inspect.signature(obj).parameters)
+        assert count == 168
 
     def test_wrapped_step_sees_every_attempt(self, monkeypatch):
         # A benchmark tracer replaces core.inertial_step to count attempted
@@ -462,12 +482,12 @@ class TestSurface:
 
         monkeypatch.setattr(chebiter.core, "inertial_step", counted)
         grow = FixedPointMap(dim=1, eval=lambda x: 3.0 * x)
-        stop = StopCriteria(max_iters=50, divergence_threshold=1e6)
-        tr = run_inertial(grow, plain_schedule(), [1.0], stop)
-        assert tr.steps == 12
+        # 3^25 is below the divergence norm 1e12 and 3^26 above it
+        tr = run_inertial(grow, plain_schedule(), [1.0], StopCriteria(max_iters=50), [0.0])
+        assert tr.steps == 25
         assert len(calls) == tr.steps + 1
         calls.clear()
-        tr = run_inertial(grow, plain_schedule(), [1.0], StopCriteria(max_iters=5))
+        tr = run_inertial(grow, plain_schedule(), [1.0], StopCriteria(max_iters=5), [0.0])
         assert len(calls) == tr.steps == 5
 
     def test_wrapped_drivers_get_the_flags(self, monkeypatch, capsys):

@@ -9,6 +9,7 @@ import pytest
 from chebiter import (
     DegenerateOperator,
     DimensionError,
+    EigenRange,
     InvalidInput,
     NonFiniteValue,
     NotConverged,
@@ -16,11 +17,14 @@ from chebiter import (
     SingularDiagonal,
     SparseRecoveryInstance,
     StopCriteria,
+    StopReason,
     blur_map,
     blur_matrix,
     build_ista,
+    chebyshev_schedule,
     deblur_map,
     estimate_eigen_range,
+    experiments,
     fista_momentum,
     fista_run,
     gen_gram_matrix,
@@ -45,6 +49,7 @@ from chebiter import (
     tanh_affine_map,
     tanh_equation_map,
 )
+from chebiter.cli import EX_OK, main
 
 from oracles import blur_slice_sum, brute_real_eigs_sorted, sigmoid_two_branch
 
@@ -281,8 +286,10 @@ class TestBuildIsta:
         assert np.max(np.abs(prob.A)) <= 1e-10
         x_star = prob.fpmap(np.zeros(4))
         assert x_star == pytest.approx([1.0, -1.0, 0.0, 0.0], abs=2e-2)
-        tr = run_inertial(prob.fpmap, plain_schedule(), np.zeros(4), StopCriteria(max_iters=5))
-        assert tr.converged
+        tr = run_inertial(
+            prob.fpmap, plain_schedule(), np.zeros(4), StopCriteria(max_iters=5), x_star
+        )
+        assert tr.stop_reason is StopReason.TOLERANCE
 
     def test_step_size_against_dense_eigensolver(self):
         inst = gen_sparse_instance(48, 24, 0.15, 0.05, seed=7)
@@ -314,7 +321,7 @@ class TestBuildIsta:
         inst = gen_sparse_instance(32, 16, 0.1, 0.05, seed=11)
         prob = build_ista(inst)
         tr = run_inertial(
-            prob.fpmap, plain_schedule(), np.zeros(32), StopCriteria(max_iters=800)
+            prob.fpmap, plain_schedule(), np.zeros(32), StopCriteria(max_iters=800), np.zeros(32)
         )
         x = tr.x_final
         assert np.linalg.norm(prob.fpmap(x) - x) <= 1e-8 * (1 + np.linalg.norm(x))
@@ -753,7 +760,7 @@ class TestShiftInvertCertificate:
         seen = []
         lanczos = spectral._lanczos_extremes
 
-        def spy(matvec, n, ends=(0, -1), rayleigh=None):
+        def spy(matvec, n, rayleigh=None):
             if rayleigh is not None:
                 inner = rayleigh
 
@@ -761,7 +768,7 @@ class TestShiftInvertCertificate:
                     seen.append((y, *inner(y)))
                     return seen[-1][1:]
 
-            return lanczos(matvec, n, ends, rayleigh)
+            return lanczos(matvec, n, rayleigh)
 
         monkeypatch.setattr(spectral, "_lanczos_extremes", spy)
         n = shape[0] * shape[1]
@@ -852,7 +859,8 @@ def _load_tracing():
 
 def _plain_fixed_point(fpmap):
     x0 = np.full(fpmap.dim, 0.5)
-    return run_inertial(fpmap, plain_schedule(), x0, StopCriteria(max_iters=800)).x_final
+    stop = StopCriteria(max_iters=800)
+    return run_inertial(fpmap, plain_schedule(), x0, stop, np.zeros(fpmap.dim)).x_final
 
 
 class TestTracedMaps:
@@ -907,3 +915,27 @@ class TestTracedMaps:
             "tanh_affine_map",
             "tanh_equation_map",
         ]
+
+    def test_tracer_installs_around_the_cli(self, capsys):
+        # The benchmark's --trace 1 installs the tracer over the drivers,
+        # run_inertial, inertial_step and the map builders, all at once.
+        tracer = _load_tracing().Tracer()
+        tracer.unit_id = 0
+        tracer.install()
+        try:
+            assert main(["bounds"]) == EX_OK
+            assert main(["toy", "--map", "power"]) == EX_OK
+            before = len(tracer.cheb_steps)
+            assert main(["toy", "--map", "tanh"]) == EX_OK
+        finally:
+            tracer.uninstall()
+        assert tracer.steps > 0
+        # the tanh study's pilot is a Chebyshev run, ahead of its cheb8 run
+        fpmap = tanh_equation_map(np.array([0.1, 0.6]))
+        coarse = chebyshev_schedule(EigenRange(1.0, 2.0 - 1e-6), 8)
+        stop = StopCriteria(max_iters=40)
+        pilot = run_inertial(fpmap, coarse, np.zeros(2), stop, np.zeros(2))
+        assert tracer.cheb_steps[before:][0] == pilot.steps > 0
+        assert len(tracer.cheb_steps) == before + 2
+        # uninstall put every attribute back
+        assert experiments.run_inertial is run_inertial and problems.blur_map is blur_map

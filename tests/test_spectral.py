@@ -19,10 +19,10 @@ from chebiter import (
     SpectrumNotCertifiedReal,
     StopCriteria,
     StopReason,
+    bounds_rows,
     chebyshev_eval,
     chebyshev_roots,
     chebyshev_schedule,
-    convergence_bound,
     estimate_eigen_range,
     jacobian_fd,
     monic_chebyshev,
@@ -170,6 +170,15 @@ class TestContractionBound:
         with pytest.raises(InvalidRange):
             per_step_rate_limit(bad)
 
+    def test_rejects_non_integer_period(self):
+        for bad in (2.5, 2.0, "2"):
+            with pytest.raises(InvalidInput, match="integer"):
+                period_contraction_bound(R19, bad)
+            with pytest.raises(InvalidInput, match="integer"):
+                per_step_rate(R19, bad)
+        assert period_contraction_bound(R19, np.int64(2)) == period_contraction_bound(R19, 2)
+        assert per_step_rate(R19, np.int64(2)) == per_step_rate(R19, 2)
+
 
 class TestPerStepRate:
     def test_reference_values(self):
@@ -200,13 +209,13 @@ class TestPerStepRate:
             sor = (r.b - r.a) / (r.b + r.a)
             assert per_step_rate(r, 1) == pytest.approx(sor, rel=1e-13)
 
-    def test_convergence_bound_bundle(self):
-        cb = convergence_bound(R19, 2)
-        assert cb.period == 2
-        assert cb.period_bound == pytest.approx(BOUND_19[2], rel=1e-14)
-        assert cb.per_step == pytest.approx(QCI_19[2], rel=1e-14)
-        assert cb.limit == pytest.approx(0.5, abs=1e-15)
-        assert cb.sor_rate == pytest.approx(0.8, rel=1e-15)
+    def test_bounds_row_bundle(self):
+        (row,) = bounds_rows(R19.a, R19.b, [2])
+        assert row["period"] == 2
+        assert row["period_bound"] == pytest.approx(BOUND_19[2], rel=1e-14)
+        assert row["per_step"] == pytest.approx(QCI_19[2], rel=1e-14)
+        assert row["limit"] == pytest.approx(0.5, abs=1e-15)
+        assert row["sor_rate"] == pytest.approx(0.8, rel=1e-15)
 
 
 class TestPeriodSpectralRadius:
@@ -305,6 +314,14 @@ def scaled_symmetric_pair(rng, n):
             return A, q
 
 
+def definite_pair(rng, n):
+    """Symmetric positive definite A with eigenvalues in (0.3, 1) and its
+    exact inverse from the same eigenvectors."""
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    mags = rng.uniform(0.3, 1.0, size=n)
+    return Q.T @ np.diag(mags) @ Q, Q.T @ np.diag(1.0 / mags) @ Q
+
+
 class TestRealSpectrumViaSimilarity:
     def test_agrees_with_characteristic_polynomial_oracle(self):
         rng = np.random.default_rng(59)
@@ -343,27 +360,45 @@ class TestRealSpectrumViaSimilarity:
             assert ours.tobytes() == with_copy(A, qq).tobytes()
 
     def test_matvec_gets_lanczos_extremes(self):
-        # A given as a matvec gets only the two extremes; they agree with the
-        # dense spectrum, on indefinite A and with exact zeros in q, both when
-        # the Krylov space fills R^n and when the Ritz residual test stops it.
+        # A positive definite A given as (matvec, inverse) gets only the two
+        # extremes; they agree with the dense spectrum, both when the Krylov
+        # space fills R^n and when the Ritz residual test stops it, and a
+        # zero in q gives an exact 0.0 lower end.
         rng = np.random.default_rng(67)
-        pairs = [scaled_symmetric_pair(rng, n) for n in (2, 5, 9, 12)]
-        M = rng.normal(size=(300, 300))
+        cases = [definite_pair(rng, n) + (rng.uniform(0.3, 1.2, size=n),) for n in (2, 5, 9, 12)]
+        A, inverse = definite_pair(rng, 300)
         q = rng.uniform(0.0, 1.0, size=300)
+        cases.append((A, inverse, q))
+        q = q.copy()
         q[::4] = 0.0
-        pairs.append(((M + M.T) / 2.0, q))
-        for A, q in pairs:
+        cases.append((A, inverse, q))
+        for A, inverse, q in cases:
+            n = q.size
+            calls = []
+
+            def counted(v):
+                calls.append(1)
+                return inverse @ v
+
+            pair = (lambda v: A @ v, counted)
             dense = real_spectrum_via_similarity(A, q)
-            ours = spectral._similarity_spectrum(lambda v: A @ v, q)
+            ours = spectral._similarity_spectrum(pair, q)
             assert ours.shape == (2,)
             assert np.max(np.abs(ours - dense[[0, -1]])) <= 1e-12 * np.max(np.abs(dense))
-            assert np.array_equal(spectral._similarity_spectrum(lambda v: A @ v, q), ours)
-        assert np.array_equal(spectral._similarity_spectrum(lambda v: v, np.zeros(4)), [0.0, 0.0])
+            assert np.array_equal(spectral._similarity_spectrum(pair, q), ours)
+            if n < 20:
+                assert len(calls) == 2 * n  # each call stopped at m = n
+            if not q.all():
+                assert ours[0] == 0.0 and not calls
+        identity = (lambda v: v, lambda v: v)
+        assert np.array_equal(spectral._similarity_spectrum(identity, np.zeros(4)), [0.0, 0.0])
 
     def test_lanczos_failures_are_typed(self, monkeypatch):
+        d = np.linspace(1.0, 2.0, 50)
+        pair = (lambda v: d * v, lambda v: v / d)
         for bad in (np.inf, np.nan):
             with pytest.raises(NonFiniteValue):
-                spectral._similarity_spectrum(lambda v: np.full(5, bad), np.ones(5))
+                spectral._similarity_spectrum((lambda v: np.full(5, bad), pair[1]), np.ones(5))
             # one bad entry among finite ones, first met at a later step
             calls = []
 
@@ -375,14 +410,13 @@ class TestRealSpectrumViaSimilarity:
                 return w
 
             with pytest.raises(NonFiniteValue, match="step 3"):
-                spectral._similarity_spectrum(matvec, np.linspace(1.0, 2.0, 6))
+                spectral._similarity_spectrum((matvec, pair[1]), np.linspace(1.0, 2.0, 6))
         with pytest.raises(DimensionError):
-            spectral._similarity_spectrum(lambda v: v, np.ones((2, 2)))
+            spectral._similarity_spectrum(pair, np.ones((2, 2)))
         # a cap below n that the stopping rule cannot meet
         monkeypatch.setattr(spectral, "_LANCZOS_MAX_STEPS", 5)
-        d = np.linspace(1.0, 2.0, 50)
         with pytest.raises(NotConverged):
-            spectral._similarity_spectrum(lambda v: d * v, np.ones(50))
+            spectral._similarity_spectrum(pair, np.ones(50))
 
     def test_all_zero_q(self):
         A = np.eye(4)
@@ -526,7 +560,7 @@ class TestNonContractingMap:
         )
         x0 = np.zeros(3)
         stop = StopCriteria(max_iters=64)
-        pilot = run_inertial(fpmap, chebyshev_schedule(EigenRange(1.0, 3.0), 8), x0, stop)
+        pilot = run_inertial(fpmap, chebyshev_schedule(EigenRange(1.0, 3.0), 8), x0, stop, x0)
         x_star = pilot.x_final
         assert pilot.stop_reason is StopReason.TOLERANCE and pilot.steps <= 32
         assert np.linalg.norm(fpmap(x_star) - x_star) < 1e-15
@@ -535,7 +569,7 @@ class TestNonContractingMap:
         assert 2.5 < rng.a < rng.b and 2.99 < rng.b < 3.0
 
         cheb = run_inertial(fpmap, chebyshev_schedule(rng, 8), x0, stop, x_ref=x_star)
-        assert cheb.converged and cheb.steps < 64
+        assert cheb.stop_reason is StopReason.TOLERANCE and cheb.steps < 64
         assert cheb.errors[8] / cheb.errors[0] <= period_contraction_bound(rng, 8)
 
         plain = run_inertial(fpmap, plain_schedule(), x0, stop, x_ref=x_star)
