@@ -21,7 +21,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import FixedPointMap, _norm
+from .core import FixedPointMap, _aligned_empty, _norm
 from .errors import (
     DegenerateOperator,
     DimensionError,
@@ -100,15 +100,18 @@ def softplus(x, beta: float = 100.0):
         raise InvalidInput(f"softplus sharpness must be > 0, got {beta}")
     x = np.asarray(x, dtype=float)
     # In place on one fresh temporary: x may be the caller's own array.
-    t = np.multiply(beta, x, out=np.empty_like(x))
-    np.abs(t, out=t)
-    np.negative(t, out=t)
+    # -beta |x| is -|beta x| bit for bit, since beta > 0.
+    t = np.abs(x, out=np.empty_like(x))
+    np.multiply(t, -beta, out=t)
     np.exp(t, out=t)
     np.log1p(t, out=t)
     np.divide(t, beta, out=t)
     out = np.maximum(x, 0.0)
     out += t
     return out
+
+
+_SIGNS = np.array([1.0, -1.0])
 
 
 def smooth_soft_shrink(x, tau: float, beta: float = 100.0):
@@ -122,10 +125,9 @@ def smooth_soft_shrink(x, tau: float, beta: float = 100.0):
     if tau < 0.0:
         raise InvalidInput(f"shrinkage threshold must be >= 0, got {tau}")
     x = np.asarray(x, dtype=float)
-    # Both shifts in one softplus call, which halves its per-call overhead.
-    shifted = np.empty((2,) + x.shape)
-    shifted[0] = x
-    np.negative(x, out=shifted[1, ...])
+    # Both shifts in one softplus call, which halves its per-call overhead:
+    # rows x and -x, exact products with +1 and -1, then minus tau.
+    shifted = np.multiply.outer(_SIGNS, x)
     shifted -= tau
     both = softplus(shifted, beta)
     return both[0] - both[1]
@@ -209,7 +211,8 @@ def gen_sparse_instance(
     if noise_sigma < 0.0:
         raise InvalidInput(f"noise_sigma must be >= 0, got {noise_sigma}")
     rng = _seeded_rng(seed)
-    M = rng.standard_normal((m, n))
+    M = _aligned_empty((m, n))
+    rng.standard_normal(out=M)
     mask = rng.random(n) < density
     x = rng.standard_normal(n) * mask
     w = rng.standard_normal(m) * noise_sigma
@@ -245,18 +248,24 @@ def build_ista(instance: SparseRecoveryInstance) -> ProximalProblem:
     """
     M, y = instance.M, instance.y
     n = instance.n
-    G = M.T @ M
+    G = np.matmul(M.T, M, out=_aligned_empty((n, n)))
     gram = _check_square(M @ M.T if instance.m <= n else G, "Gram matrix")
     lam_max = float(np.linalg.eigvalsh(gram)[-1])
     if lam_max <= 0.0:
         raise DegenerateOperator("measurement operator is zero; no step size exists")
     gamma = 1.0 / lam_max
     tau = gamma
-    A = np.eye(n) - gamma * G
+    # A = I - gamma G in G's own aligned buffer, bit for bit what
+    # eye(n) - gamma * G gives: 0 - gamma G, then 1 added on the diagonal.
+    A = np.multiply(G, gamma, out=G)
+    np.subtract(0.0, A, out=A)
+    A.flat[:: n + 1] += 1.0
     b = gamma * (M.T @ y)
 
     def step(x):
-        return smooth_soft_shrink(A @ x + b, tau)
+        u = A @ x
+        u += b
+        return smooth_soft_shrink(u, tau)
 
     jac, spectrum = _factored_jacobian(A, lambda x: smooth_soft_shrink_grad(A @ x + b, tau))
     fpmap = FixedPointMap(dim=n, eval=step, jacobian=jac, jacobian_spectrum=spectrum)
@@ -320,7 +329,10 @@ def jacobi_map(P, q) -> FixedPointMap:
     if np.any(d == 0.0):
         raise SingularDiagonal("P has zeros on the diagonal; the splitting is undefined")
     dinv = 1.0 / d
-    R = P - np.diag(d)
+    # P - diag(d) bit for bit: P off the diagonal, d - d = +0.0 on it.
+    R = _aligned_empty((n, n))
+    np.copyto(R, P)
+    R.flat[:: n + 1] = 0.0
     jac, spectrum = _factored_jacobian(P, lambda x: dinv, shift=1.0, scale=-1.0)
     return FixedPointMap(
         dim=n,
@@ -370,15 +382,16 @@ def gen_gram_matrix(
     if std <= 0.0:
         raise InvalidInput(f"std must be > 0, got {std}")
     rng = _seeded_rng(seed)
-    M = rng.standard_normal((n, n)) * std
-    G = M.T @ M
+    M = rng.standard_normal((n, n))
+    M *= std
+    G = np.matmul(M.T, M, out=_aligned_empty((n, n)))
     if normalize_to is not None:
         if normalize_to <= 0.0:
             raise InvalidInput(f"normalize_to must be > 0, got {normalize_to}")
         lam_max = float(np.linalg.eigvalsh(G)[-1])
         if lam_max <= 0.0:
             raise DegenerateOperator("gram matrix has no positive eigenvalues")
-        G = G * (normalize_to / lam_max)
+        G *= normalize_to / lam_max
     return G
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import EigenRange, FixedPointMap, InertialSchedule, _index, _norm
+from .core import EigenRange, FixedPointMap, InertialSchedule, _aligned_empty, _index, _norm
 from .errors import (
     DimensionError,
     InvalidInput,
@@ -282,8 +282,14 @@ def _similarity_spectrum(A, q) -> np.ndarray:
     s = np.sqrt(q[support])
     # With every q_i > 0 the support is all of A: skip the n x n copy.
     A_s = A if k == n else A[np.ix_(support, support)]
-    core = (s[:, None] * A_s) * s[None, :]
-    lam = np.linalg.eigvalsh((core + core.T) / 2.0)
+    # The same products and the same symmetrization as
+    # (core + core.T) / 2 with core = (s[:, None] * A_s) * s[None, :],
+    # through two n x n arrays instead of four.
+    core = s[:, None] * A_s
+    core *= s
+    sym = core + core.T
+    sym /= 2.0
+    lam = np.linalg.eigvalsh(sym)
     return np.sort(np.concatenate([lam, np.zeros(n - k)]))
 
 
@@ -342,7 +348,7 @@ def _lanczos_extremes(matvec, n: int, rayleigh=None) -> float:
     rule; the stored basis is at most that many vectors of length n.
     """
     limit = min(n, _LANCZOS_MAX_STEPS)
-    V = np.empty((limit, n))
+    V = _aligned_empty((limit, n))
     alpha = np.empty(limit)
     beta = np.empty(limit)
     v = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)

@@ -63,6 +63,17 @@ class TestEigenRange:
         r = EigenRange(0.1, 2.0)
         assert (r.a, r.b) == (0.1, 2.0)
 
+    def test_endpoints_are_real_numbers(self):
+        for bad in ("0.1", "x", b"0.1", True, np.bool_(False), None, 1j, [0.1]):
+            with pytest.raises(InvalidInput, match="real number"):
+                EigenRange(bad, 0.9)
+            with pytest.raises(InvalidInput, match="real number"):
+                EigenRange(0.0, bad)
+        for a, b in ((0, 1), (np.int64(0), np.float32(0.5)), (np.float64(0.1), 0.9)):
+            r = EigenRange(a, b)
+            assert (r.a, r.b) == (float(a), float(b))
+            assert type(r.a) is float and type(r.b) is float
+
     def test_clipped_lifts_ends_to_positive(self):
         r = EigenRange(-0.5, 2.5).clipped()
         assert (r.a, r.b) == (1e-6, 2.5)
@@ -183,9 +194,31 @@ class TestInertialSchedule:
         with pytest.raises(NonFiniteValue):
             InertialSchedule(period=1, factors=(math.inf,))
 
+    def test_factors_are_real_numbers(self):
+        for bad in ("1.5", b"1", True, np.bool_(True), None, 1j):
+            with pytest.raises(InvalidInput, match="real number"):
+                InertialSchedule(period=1, factors=(bad,))
+        s = InertialSchedule(period=3, factors=(1, np.float32(0.5), np.int64(2)))
+        assert s.factors == (1.0, 0.5, 2.0)
+        assert all(type(w) is float for w in s.factors)
+
     def test_plain_schedule_is_all_ones(self):
         s = plain_schedule()
         assert s.period == 1 and s.factors == (1.0,)
+
+
+class TestAlignedEmpty:
+    def test_data_starts_on_cache_line(self):
+        # Many small and large arrays, kept alive so the heap moves on.
+        kept = []
+        for shape in [(1,), (3,), (7, 5), (256, 256), (60, 784)] * 20:
+            a = core._aligned_empty(shape)
+            kept.append(a)
+            assert a.shape == shape and a.dtype == np.float64
+            assert a.flags.c_contiguous and a.flags.writeable
+            assert a.ctypes.data % 64 == 0
+        # no data to place, but the shape still holds
+        assert core._aligned_empty((2, 0)).shape == (2, 0)
 
 
 class TestInertialStep:
@@ -317,6 +350,9 @@ class TestRunInertialBits:
         "negative zeros": -np.zeros(N),
         "tiny": np.full(N, 1e-300),
         "fixed point": None,  # the map's own nonzero fixed point
+        # a fixed point of norm near 3.5e11, so that error + |ref| crosses
+        # half the divergence norm, where the runner starts taking |x|
+        "large fixed point": None,
     }
 
     def problem(self, scenario, ref_kind):
@@ -326,7 +362,9 @@ class TestRunInertialBits:
         A = np.eye(self.N) - B
         if scenario == "divergence":
             A = 2.5 * A + 0.5 * np.eye(self.N)
-        b = rng.normal(size=self.N) if ref_kind == "fixed point" else np.zeros(self.N)
+        b = np.zeros(self.N)
+        if ref_kind.endswith("fixed point"):
+            b = rng.normal(size=self.N) * (5e10 if ref_kind.startswith("large") else 1.0)
         ref = self.REFS[ref_kind]
         if ref is None:
             ref = np.linalg.solve(np.eye(self.N) - A, b)
@@ -517,6 +555,13 @@ class TestRunInertial:
             with pytest.raises(InvalidInput):
                 StopCriteria(max_iters=5, error_target=bad)
         assert StopCriteria(max_iters=5, error_target=0.0).error_target == 0.0
+        for bad in (True, np.bool_(True), "0.1", b"0.1", 1j):
+            with pytest.raises(InvalidInput, match="real number"):
+                StopCriteria(max_iters=5, error_target=bad)
+        for good in (0, np.int64(2), np.float32(0.25)):
+            target = StopCriteria(max_iters=5, error_target=good).error_target
+            assert target == float(good) and type(target) is float
+        assert StopCriteria(max_iters=5).error_target is None
         for bad in (5.0, 5.7, "5"):
             with pytest.raises(InvalidInput):
                 StopCriteria(max_iters=bad)

@@ -1,5 +1,6 @@
 """Shrinkage operators, problem constructions, and instance generators."""
 import dataclasses
+import functools
 import importlib.util
 from pathlib import Path
 
@@ -339,6 +340,73 @@ class TestBuildIsta:
         M[1, 2] = np.nan
         with pytest.raises(NonFiniteValue):
             build_ista(SparseRecoveryInstance(M=M, y=np.zeros(4), x_true=np.zeros(6)))
+
+
+def empty_at_offset(offset, shape):
+    """Uninitialised float array whose data starts `offset` bytes past a
+    64-byte boundary: a stand-in for core._aligned_empty."""
+    size = int(np.prod(shape))
+    buf = np.empty(size + 8)
+    start = ((offset - buf.ctypes.data) % 64) // 8
+    return buf[start : start + size].reshape(shape)
+
+
+class TestOperandLayout:
+    def test_operator_is_eye_minus_gamma_gram_bit_for_bit(self):
+        # A is built in the Gram's own buffer; the Gram's zeros off the
+        # diagonal must still give +0.0, as eye(n) - gamma G does
+        M = np.zeros((3, 5))
+        M[0, 0], M[1, 1:3], M[2, 3:] = 2.0, (1.0, -1.5), (0.5, 3.0)
+        assert (M.T @ M == 0.0).any()
+        for M in (M, M.T, gen_sparse_instance(256, 128, 0.1, 0.1, seed=3).M):
+            m, n = M.shape
+            prob = build_ista(SparseRecoveryInstance(M=M, y=np.ones(m), x_true=np.zeros(n)))
+            want = np.eye(n) - prob.gamma * (M.T @ M)
+            assert prob.A.tobytes() == want.tobytes()
+
+    def test_jacobi_splitting_bit_for_bit(self):
+        inst = gen_jacobi_instance(64, seed=2)
+        P = inst.P.copy()
+        P[3, 5] = P[5, 3] = -0.0
+        d = np.diag(P).copy()
+        x = np.random.default_rng(4).standard_normal(64)
+        q = np.linspace(-1.0, 1.0, 64)
+        want = (1.0 / d) * (q - (P - np.diag(d)) @ x)
+        assert jacobi_map(P, q).eval(x).tobytes() == want.tobytes()
+
+    def test_operands_start_on_cache_lines(self):
+        for n, m in ((256, 128), (48, 24), (7, 5)):
+            inst = gen_sparse_instance(n, m, 0.1, 0.1, seed=1)
+            assert inst.M.ctypes.data % 64 == 0
+            assert build_ista(inst).A.ctypes.data % 64 == 0
+        for normalize_to in (None, 0.97):
+            assert gen_gram_matrix(33, 0.1, seed=0, normalize_to=normalize_to).ctypes.data % 64 == 0
+
+    def test_ista_traces_do_not_depend_on_operand_offset(self, monkeypatch):
+        # OpenBLAS's matrix-vector kernels load differently at each offset
+        # of the operand from a cache line; the bits must not move.
+        def run():
+            inst = gen_sparse_instance(256, 128, 0.1, 0.1, seed=0)
+            prob = build_ista(inst)
+            x0 = np.zeros(inst.n)
+            stop = StopCriteria(max_iters=300)
+            sched = chebyshev_schedule(EigenRange(0.007, 1.0), 8)
+            runs = [
+                run_inertial(prob.fpmap, s, x0, stop, inst.x_true) for s in (plain_schedule(), sched)
+            ]
+            fista = fista_run(prob, 100)
+            offsets = (inst.M.ctypes.data % 64, prob.A.ctypes.data % 64)
+            return offsets, [r.errors.tobytes() + r.x_final.tobytes() for r in runs] + [
+                fista.errors.tobytes() + fista.x_final.tobytes()
+            ]
+
+        offsets, want = run()
+        assert offsets == (0, 0)
+        for offset in range(8, 64, 8):
+            monkeypatch.setattr(problems, "_aligned_empty", functools.partial(empty_at_offset, offset))
+            offsets, got = run()
+            assert offsets == (offset, offset)
+            assert got == want
 
 
 class TestFista:

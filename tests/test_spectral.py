@@ -23,6 +23,7 @@ from chebiter import (
     chebyshev_eval,
     chebyshev_roots,
     chebyshev_schedule,
+    core,
     estimate_eigen_range,
     jacobian_fd,
     monic_chebyshev,
@@ -392,6 +393,20 @@ class TestRealSpectrumViaSimilarity:
                 assert ours[0] == 0.0 and not calls
         identity = (lambda v: v, lambda v: v)
         assert np.array_equal(spectral._similarity_spectrum(identity, np.zeros(4)), [0.0, 0.0])
+
+    def test_lanczos_basis_starts_on_cache_line(self, monkeypatch):
+        # The reorthogonalization multiplies by the stored basis every step.
+        bases = []
+
+        def recorded(shape):
+            bases.append(core._aligned_empty(shape))
+            return bases[-1]
+
+        monkeypatch.setattr(spectral, "_aligned_empty", recorded)
+        d = np.linspace(1.0, 2.0, 60)
+        assert spectral._lanczos_extremes(lambda v: d * v, 60) == pytest.approx(2.0, rel=1e-12)
+        assert [V.shape for V in bases] == [(60, 60)]
+        assert bases[0].ctypes.data % 64 == 0
 
     def test_lanczos_failures_are_typed(self, monkeypatch):
         d = np.linspace(1.0, 2.0, 50)
