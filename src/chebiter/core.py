@@ -52,9 +52,15 @@ _DIVERGENCE_NORM = 1e12
 # cache line.
 _ALIGN = 64
 
+# numpy's float64 dtype object, which _as_vector compares by identity.
+_FLOAT = np.dtype(float)
+
 
 def _index(value, what: str) -> int:
-    """value as a Python int, for ints and numpy integers alone."""
+    """value as a Python int, for ints and numpy integers alone: not
+    bools, which operator.index would take as 0 and 1."""
+    if isinstance(value, bool):
+        raise InvalidInput(f"{what} must be an integer, got {value!r}")
     try:
         return operator.index(value)
     except TypeError:
@@ -291,6 +297,11 @@ class IterationTrace:
 
 
 def _as_vector(x, dim: int, what: str) -> np.ndarray:
+    # A plain float64 vector of the right length is what np.asarray would
+    # return unchanged; returned without the call. An equal dtype that is not
+    # numpy's own float64 object takes the general path, to the same result.
+    if type(x) is np.ndarray and x.dtype is _FLOAT and x.shape == (dim,):
+        return x
     v = np.asarray(x, dtype=float)
     if v.shape != (dim,):
         raise DimensionError(f"{what} has shape {v.shape}, expected ({dim},)")
@@ -326,7 +337,7 @@ def inertial_step(fpmap: FixedPointMap, x: np.ndarray, omega: float) -> np.ndarr
         # same bits (addition commutes) and the same warnings, without the
         # wrapper cost of the operators on an array and a Python float.
         y = np.multiply(fx, omega)
-        y += np.multiply(x, 1.0 - omega)
+        np.add(y, np.multiply(x, 1.0 - omega), y)
     # Exact, and cheaper than setting up the reduction of .all().
     if b"\0" in np.isfinite(y).tobytes():
         raise NonFiniteValue("inertial step produced non-finite components")
@@ -360,7 +371,10 @@ def run_inertial(
         raise NonFiniteValue("x_ref has non-finite components")
     target = stop.error_target
 
-    errors = [_norm(x - ref)]
+    # x_new - ref and x_new - x are written into this one array, which is
+    # never an iterate, so no step allocates a difference.
+    diff = np.empty(fpmap.dim)
+    errors = [_norm(np.subtract(x, ref, diff))]
     # Against a zero reference the error is the iterate's own norm, which
     # the divergence test computes anyway (zeros of either sign give the
     # same squares). Against another, |x| <= error + |ref| by the triangle
@@ -392,7 +406,7 @@ def run_inertial(
             if zero_ref:
                 error = size = math.sqrt(x_new.dot(x_new))
             else:
-                error = _norm(x_new - ref)
+                error = _norm(np.subtract(x_new, ref, diff))
                 size = 0.0
                 if not error + ref_norm <= 0.5 * _DIVERGENCE_NORM:
                     size = math.sqrt(x_new.dot(x_new))
@@ -401,9 +415,9 @@ def run_inertial(
                 break
             factors_used.append(w)
             errors.append(error)
-            step = x_new - x
+            np.subtract(x_new, x, diff)
             x = x_new
-            if step.dot(step) == 0.0:
+            if diff.dot(diff) == 0.0:
                 stop_reason = StopReason.TOLERANCE
                 break
             if target is not None and error <= target:

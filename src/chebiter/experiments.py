@@ -20,6 +20,7 @@ from .core import (
     InertialSchedule,
     StopCriteria,
     StopReason,
+    _index,
     chebyshev_schedule,
     constant_sor_schedule,
     plain_schedule,
@@ -379,6 +380,7 @@ def run_ista(
     large factors push coordinates across the shrinkage kink. The exact
     map serves only the FISTA baseline.
     """
+    seeds = _index(seeds, "seeds")
     if seeds < 1:
         raise InvalidInput(f"seeds must be >= 1, got {seeds}")
     result = ExperimentResult("ista")
@@ -463,6 +465,7 @@ def run_deblur(
     schedule still beats the plain iteration on every default seed.
     Images for the first seed are saved as PGM files alongside the traces.
     """
+    seeds = _index(seeds, "seeds")
     if seeds < 1:
         raise InvalidInput(f"seeds must be >= 1, got {seeds}")
     result = ExperimentResult("deblur")

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import FixedPointMap, _aligned_empty, _norm
+from .core import FixedPointMap, _aligned_empty, _index, _norm
 from .errors import (
     DegenerateOperator,
     DimensionError,
@@ -73,6 +73,9 @@ def _seeded_rng(seed: int) -> np.random.Generator:
     spawn key (0,) is kept from when a second index chose among streams:
     without it every seeded instance, and so every study output, changes.
     """
+    seed = _index(seed, "seed")
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
 
 
@@ -85,36 +88,82 @@ def sigmoid(u):
     return np.where(u >= 0.0, 1.0, e) / (1.0 + e)
 
 
+# Sharpness of the smooth shrinkage, the default of every function that
+# takes one and the value build_ista's map uses.
+_BETA = 100.0
+
+
+def _check_tau(tau) -> None:
+    # Written so that NaN fails it too.
+    if not tau >= 0.0:
+        raise InvalidInput(f"shrinkage threshold must be >= 0, got {tau}")
+
+
+def _check_beta(beta) -> None:
+    # inf, the exact shrink, passes; NaN does not.
+    if not beta > 0.0:
+        raise InvalidInput(f"softplus sharpness must be > 0, got {beta}")
+
+
 def soft_shrink(x, tau: float):
     """Soft shrinkage sign(x) * max(|x| - tau, 0)."""
-    if tau < 0.0:
-        raise InvalidInput(f"shrinkage threshold must be >= 0, got {tau}")
+    _check_tau(tau)
     x = np.asarray(x, dtype=float)
     return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
 
 
-def softplus(x, beta: float = 100.0):
+# The zero of softplus's max(x, 0) as a 0-d array, which a ufunc takes
+# without converting it on every call as it does a Python float.
+_ZERO = np.zeros(())
+
+
+def _softplus_inplace(z: np.ndarray, neg_beta, beta) -> np.ndarray:
+    """softplus(z, beta) written over z itself, which must be a fresh float
+    array, and returned; neg_beta is -beta.
+
+    Every ufunc gets its output positionally (keyword out= costs a
+    dictionary parse per call), except np.maximum, whose positional form
+    is deprecated. -beta |z| is -|beta z| bit for bit, since beta > 0.
+    """
+    t = np.abs(z)
+    np.multiply(t, neg_beta, t)
+    np.exp(t, t)
+    np.log1p(t, t)
+    np.divide(t, beta, t)
+    np.maximum(z, _ZERO, out=z)
+    np.add(z, t, z)
+    return z
+
+
+# The (2, 1) column that one broadcast product turns u into the rows u, -u.
+_SIGNS = np.array([[1.0], [-1.0]])
+
+
+def _shrink(u: np.ndarray, tau, neg_beta, beta) -> np.ndarray:
+    """smooth_soft_shrink of a 1-D float array, without the checks;
+    neg_beta is -beta.
+
+    Both softplus shifts run on one (2, n) array: the rows u and -u are
+    exact products with +1 and -1, then minus tau.
+    """
+    z = np.multiply(_SIGNS, u)
+    np.subtract(z, tau, z)
+    _softplus_inplace(z, neg_beta, beta)
+    return z[0] - z[1]
+
+
+def softplus(x, beta: float = _BETA):
     """Softplus log(1 + exp(beta x)) / beta in the overflow-free form
     max(x, 0) + log1p(exp(-beta |x|)) / beta."""
-    if beta <= 0.0:
-        raise InvalidInput(f"softplus sharpness must be > 0, got {beta}")
-    x = np.asarray(x, dtype=float)
-    # In place on one fresh temporary: x may be the caller's own array.
-    # -beta |x| is -|beta x| bit for bit, since beta > 0.
-    t = np.abs(x, out=np.empty_like(x))
-    np.multiply(t, -beta, out=t)
-    np.exp(t, out=t)
-    np.log1p(t, out=t)
-    np.divide(t, beta, out=t)
-    out = np.maximum(x, 0.0)
-    out += t
-    return out
+    _check_beta(beta)
+    # A C-ordered copy, since x may be the caller's own array, so that its
+    # flat view is written in place; [()] turns a 0-d result into a numpy
+    # scalar, as a ufunc on a 0-d array gives.
+    x = np.array(x, dtype=float, order="C")
+    return _softplus_inplace(x.reshape(-1), -beta, beta).reshape(x.shape)[()]
 
 
-_SIGNS = np.array([1.0, -1.0])
-
-
-def smooth_soft_shrink(x, tau: float, beta: float = 100.0):
+def smooth_soft_shrink(x, tau: float, beta: float = _BETA):
     """Differentiable surrogate for soft shrinkage built from softplus.
 
     softplus(x - tau) - softplus(-x - tau) is an odd function whose
@@ -122,21 +171,16 @@ def smooth_soft_shrink(x, tau: float, beta: float = 100.0):
     and whose derivative lies in [0, 1], which is what lets an iteration
     built on it certify a real Jacobian spectrum.
     """
-    if tau < 0.0:
-        raise InvalidInput(f"shrinkage threshold must be >= 0, got {tau}")
+    _check_tau(tau)
+    _check_beta(beta)
     x = np.asarray(x, dtype=float)
-    # Both shifts in one softplus call, which halves its per-call overhead:
-    # rows x and -x, exact products with +1 and -1, then minus tau.
-    shifted = np.multiply.outer(_SIGNS, x)
-    shifted -= tau
-    both = softplus(shifted, beta)
-    return both[0] - both[1]
+    return _shrink(x.reshape(-1), tau, -beta, beta).reshape(x.shape)[()]
 
 
-def smooth_soft_shrink_grad(x, tau: float, beta: float = 100.0):
+def smooth_soft_shrink_grad(x, tau: float, beta: float = _BETA):
     """Derivative of smooth_soft_shrink with matching arguments, in [0, 1]."""
-    if tau < 0.0:
-        raise InvalidInput(f"shrinkage threshold must be >= 0, got {tau}")
+    _check_tau(tau)
+    _check_beta(beta)
     x = np.asarray(x, dtype=float)
     return sigmoid(beta * (x - tau)) + sigmoid(-beta * (x + tau))
 
@@ -204,11 +248,12 @@ def gen_sparse_instance(
     noise) so the seed pins the instance bit for bit. The support is
     Bernoulli(density) per coordinate, values standard normal.
     """
+    n, m = _index(n, "n"), _index(m, "m")
     if n < 1 or m < 1:
         raise InvalidInput(f"need n, m >= 1, got n={n}, m={m}")
     if not (0.0 <= density <= 1.0):
         raise InvalidInput(f"density must be in [0, 1], got {density}")
-    if noise_sigma < 0.0:
+    if not noise_sigma >= 0.0:
         raise InvalidInput(f"noise_sigma must be >= 0, got {noise_sigma}")
     rng = _seeded_rng(seed)
     M = _aligned_empty((m, n))
@@ -255,17 +300,22 @@ def build_ista(instance: SparseRecoveryInstance) -> ProximalProblem:
         raise DegenerateOperator("measurement operator is zero; no step size exists")
     gamma = 1.0 / lam_max
     tau = gamma
+    _check_tau(tau)  # once here, since the map's step calls _shrink directly
     # A = I - gamma G in G's own aligned buffer, bit for bit what
     # eye(n) - gamma * G gives: 0 - gamma G, then 1 added on the diagonal.
     A = np.multiply(G, gamma, out=G)
     np.subtract(0.0, A, out=A)
     A.flat[:: n + 1] += 1.0
     b = gamma * (M.T @ y)
+    # tau, -beta and beta as 0-d arrays: a ufunc converts a Python float
+    # operand to an array on every call, which cost about 1 us per step.
+    shrink_args = tuple(np.array(c) for c in (tau, -_BETA, _BETA))
 
     def step(x):
-        u = A @ x
+        # The same gemv as A @ x, bit for bit, with less call overhead.
+        u = A.dot(x)
         u += b
-        return smooth_soft_shrink(u, tau)
+        return _shrink(u, *shrink_args)
 
     jac, spectrum = _factored_jacobian(A, lambda x: smooth_soft_shrink_grad(A @ x + b, tau))
     fpmap = FixedPointMap(dim=n, eval=step, jacobian=jac, jacobian_spectrum=spectrum)
@@ -291,6 +341,7 @@ def fista_run(problem: ProximalProblem, iters: int) -> FistaResult:
     made. Starts from zero with unit momentum. Errors are measured against
     the true signal of the instance.
     """
+    iters = _index(iters, "iters")
     if iters < 1:
         raise InvalidInput(f"iters must be >= 1, got {iters}")
     instance, gamma, tau = problem.instance, problem.gamma, problem.tau
@@ -301,13 +352,13 @@ def fista_run(problem: ProximalProblem, iters: int) -> FistaResult:
     z = x.copy()
     t = 1.0
     errors = [_norm(x - ref)]
-    for _ in range(int(iters)):
+    for _ in range(iters):
         x_next = soft_shrink(z - gamma * (M.T @ (M @ z - y)), tau)
         t_next = fista_momentum(t)
         z = x_next + ((t - 1.0) / t_next) * (x_next - x)
         x, t = x_next, t_next
         errors.append(_norm(x - ref))
-    return FistaResult(errors=np.asarray(errors), x_final=x, steps=int(iters))
+    return FistaResult(errors=np.asarray(errors), x_final=x, steps=iters)
 
 
 def jacobi_map(P, q) -> FixedPointMap:
@@ -359,6 +410,7 @@ def gen_jacobi_instance(n: int, seed: int) -> JacobiInstance:
     right-hand side is zero, so the solution is the origin and the error
     of an iterate is just its norm; the start is a standard normal draw.
     """
+    n = _index(n, "n")
     if n < 1:
         raise InvalidInput(f"need n >= 1, got {n}")
     rng = _seeded_rng(seed)
@@ -377,16 +429,17 @@ def gen_gram_matrix(
     that value exactly, which pins the spectral gap at small n where a
     raw draw would land short of the intended range.
     """
+    n = _index(n, "n")
     if n < 1:
         raise InvalidInput(f"need n >= 1, got {n}")
-    if std <= 0.0:
+    if not std > 0.0:
         raise InvalidInput(f"std must be > 0, got {std}")
     rng = _seeded_rng(seed)
     M = rng.standard_normal((n, n))
     M *= std
     G = np.matmul(M.T, M, out=_aligned_empty((n, n)))
     if normalize_to is not None:
-        if normalize_to <= 0.0:
+        if not normalize_to > 0.0:
             raise InvalidInput(f"normalize_to must be > 0, got {normalize_to}")
         lam_max = float(np.linalg.eigvalsh(G)[-1])
         if lam_max <= 0.0:

@@ -173,7 +173,7 @@ class TestConstantSor:
 
 class TestFixedPointMap:
     def test_dimension_is_a_positive_integer(self):
-        for bad in (0, -1, 2.5, 3.0, "3"):
+        for bad in (0, -1, 2.5, 3.0, "3", True, np.bool_(True)):
             with pytest.raises(InvalidInput):
                 FixedPointMap(dim=bad, eval=lambda x: x)
         m = FixedPointMap(dim=np.int64(3), eval=lambda x: x)
@@ -187,6 +187,8 @@ class TestInertialSchedule:
         for bad in ("2", 2.0, 2.5):
             with pytest.raises(InvalidInput, match="integer"):
                 InertialSchedule(period=bad, factors=(1.0, 1.0))
+        with pytest.raises(InvalidInput, match="integer"):
+            InertialSchedule(period=True, factors=(1.0,))
         s = InertialSchedule(period=np.int64(2), factors=(1.0, 1.0))
         assert s.period == 2 and type(s.period) is int
 
@@ -239,6 +241,18 @@ class TestInertialStep:
         m = affine_map([[0.0]], [10.0])
         out = inertial_step(m, np.array([2.0]), 0.25)
         assert out[0] == pytest.approx(0.75 * 2.0 + 0.25 * 10.0)
+
+    def test_iterates_other_than_float_vectors_are_converted(self):
+        m = affine_map([[0.5, 0.0], [0.0, 0.5]], [1.0, 1.0])
+        want = m(np.array([4.0, 8.0]))
+        for x in ([4, 8], np.array([4, 8]), np.array([4.0, 8.0], dtype=np.float32),
+                  np.array([4.0, 8.0], dtype=">f8"), np.array([4.0, 0.0, 8.0])[::2]):
+            for omega in (1.0, 0.0):
+                out = inertial_step(m, x, omega)
+                assert type(out) is np.ndarray and out.dtype == np.float64
+                assert out.tobytes() == (want if omega else np.asarray(x, float)).tobytes()
+        listed = FixedPointMap(dim=2, eval=lambda x: [1, 2])
+        assert inertial_step(listed, np.zeros(2), 1.0).tobytes() == np.array([1.0, 2.0]).tobytes()
 
     def test_dimension_mismatch_raises(self):
         m = affine_map([[0.5, 0.0], [0.0, 0.5]], [0.0, 0.0])
@@ -500,10 +514,16 @@ class TestRunInertial:
         m = affine_map(A, rng.normal(size=4))
         sched = chebyshev_schedule(EigenRange(0.5, 1.5), 8)
         x0 = rng.normal(size=4)
-        t1 = run_inertial(m, sched, x0, StopCriteria(max_iters=64), x_ref=np.zeros(4))
-        t2 = run_inertial(m, sched, x0, StopCriteria(max_iters=64), x_ref=np.zeros(4))
-        assert np.array_equal(t1.errors, t2.errors)
-        assert np.array_equal(t1.x_final, t2.x_final)
+        for ref in (np.zeros(4), rng.normal(size=4)):
+            t1 = run_inertial(m, sched, x0, StopCriteria(max_iters=64), x_ref=ref)
+            first = t1.x_final.tobytes()
+            t2 = run_inertial(m, sched, x0, StopCriteria(max_iters=64), x_ref=ref)
+            assert np.array_equal(t1.errors, t2.errors)
+            assert np.array_equal(t1.x_final, t2.x_final)
+            # no array the runner writes into is handed out as x_final:
+            # another run on the same map leaves the first one's bytes alone
+            run_inertial(m, sched, -x0, StopCriteria(max_iters=9), x_ref=ref)
+            assert t1.x_final.tobytes() == first
 
     def test_step_tolerance_stop(self):
         # x <- x/2 + 1 from 0 lands on 2.0 exactly in floating point, and
@@ -562,7 +582,7 @@ class TestRunInertial:
             target = StopCriteria(max_iters=5, error_target=good).error_target
             assert target == float(good) and type(target) is float
         assert StopCriteria(max_iters=5).error_target is None
-        for bad in (5.0, 5.7, "5"):
+        for bad in (5.0, 5.7, "5", True):
             with pytest.raises(InvalidInput):
                 StopCriteria(max_iters=bad)
         stop = StopCriteria(max_iters=np.int64(5))

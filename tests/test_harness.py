@@ -213,6 +213,14 @@ class TestDeblurDriver:
         assert calls == []
 
 
+@pytest.mark.parametrize("driver", [run_ista, run_deblur])
+def test_seed_count_is_an_integer(driver):
+    # seeds=True used to run seed 0 alone, and seeds=1.5 to fail in range()
+    for bad in (True, 1.5, 1.0, "1"):
+        with pytest.raises(InvalidInput, match="integer"):
+            driver(None, seeds=bad)
+
+
 class TestCliExitCodes:
     def test_version(self, capsys):
         assert main(["--version"]) == EX_OK

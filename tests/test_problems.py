@@ -2,6 +2,7 @@
 import dataclasses
 import functools
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +204,58 @@ class TestShrinkageBitIdentity:
         with pytest.raises(InvalidInput):
             smooth_soft_shrink(np.ones(3), 0.1, beta=0.0)
 
+    def test_ista_step_is_the_public_shrink(self):
+        # build_ista's map runs the shrinkage kernel without the public
+        # wrapper; its bits must be smooth_soft_shrink(A x + b, tau)'s.
+        inst = gen_sparse_instance(256, 128, 0.1, 0.1, seed=0)
+        prob = build_ista(inst)
+        iterate = run_inertial(
+            prob.fpmap, plain_schedule(), np.zeros(256), StopCriteria(max_iters=40), inst.x_true
+        ).x_final
+        # with M = I, u = A 0 + b = gamma y, so y = +-1 puts u on +-tau exactly
+        y = np.array([1.0, -1.0, 0.5, 0.0, 2.0])
+        eye = build_ista(SparseRecoveryInstance(M=np.eye(5), y=y, x_true=np.zeros(5)))
+        assert np.abs(eye.A @ np.zeros(5) + eye.b)[:2].tolist() == [eye.tau, eye.tau]
+        for prob, x in ((prob, np.zeros(256)), (prob, iterate), (eye, np.zeros(5))):
+            want = smooth_soft_shrink(prob.A @ x + prob.b, prob.tau)
+            assert prob.fpmap.eval(x).tobytes() == want.tobytes()
+
+
+class TestShrinkageParameters:
+    # NaN fails every parameter check; beta = inf, the exact shrink, passes.
+    def test_soft_shrink_rejects_nan_threshold(self):
+        with pytest.raises(InvalidInput):
+            soft_shrink(np.ones(3), np.nan)
+
+    def test_softplus_rejects_nan_sharpness(self):
+        with pytest.raises(InvalidInput):
+            softplus(np.ones(3), np.nan)
+
+    def test_smooth_soft_shrink_rejects_nan(self):
+        with pytest.raises(InvalidInput):
+            smooth_soft_shrink(np.ones(3), np.nan)
+        with pytest.raises(InvalidInput):
+            smooth_soft_shrink(np.ones(3), 0.1, beta=np.nan)
+
+    def test_smooth_soft_shrink_grad_rejects_nan(self):
+        with pytest.raises(InvalidInput):
+            smooth_soft_shrink_grad(np.ones(3), np.nan)
+        for beta in (np.nan, 0.0, -1.0):
+            with pytest.raises(InvalidInput):
+                smooth_soft_shrink_grad(np.ones(3), 0.1, beta=beta)
+
+    def test_gram_generator_rejects_nan_std(self):
+        with pytest.raises(InvalidInput):
+            gen_gram_matrix(8, np.nan, seed=0)
+        with pytest.raises(InvalidInput):
+            gen_gram_matrix(8, 0.1, seed=0, normalize_to=np.nan)
+
+    def test_infinite_sharpness_is_the_exact_shrink(self):
+        x = np.array([-2.0, -0.3, 0.3, 2.0])
+        assert smooth_soft_shrink(x, 0.5, beta=np.inf).tolist() == soft_shrink(x, 0.5).tolist()
+        assert softplus(x, np.inf).tolist() == np.maximum(x, 0.0).tolist()
+        assert smooth_soft_shrink_grad(x, 0.5, beta=np.inf).tolist() == [1.0, 0.0, 0.0, 1.0]
+
 
 class TestNormsMatchLinalg:
     def test_fista_errors(self):
@@ -244,6 +297,47 @@ class TestSeededStreams:
         assert img[0, 0].tobytes() == bytes.fromhex("4241df7aa774c63f")
 
 
+class TestIntegerArguments:
+    # Sizes, seeds and iteration counts are integers: numpy integers pass,
+    # and floats, text and bools raise InvalidInput instead of a bare
+    # TypeError or a silent truncation.
+    def test_sizes(self):
+        for bad in (16.0, 16.5, "16", True):
+            for make in (
+                lambda: gen_sparse_instance(bad, 8, 0.1, 0.1, seed=0),
+                lambda: gen_sparse_instance(16, bad, 0.1, 0.1, seed=0),
+                lambda: gen_jacobi_instance(bad, 0),
+                lambda: gen_gram_matrix(bad, 0.1, seed=0),
+            ):
+                with pytest.raises(InvalidInput, match="integer"):
+                    make()
+        a = gen_sparse_instance(np.int64(16), np.int32(8), 0.1, 0.1, seed=0)
+        assert a.M.tobytes() == gen_sparse_instance(16, 8, 0.1, 0.1, seed=0).M.tobytes()
+
+    def test_seeds(self):
+        makers = (
+            lambda seed: gen_sparse_instance(8, 4, 0.1, 0.1, seed).M,
+            lambda seed: gen_jacobi_instance(4, seed).P,
+            lambda seed: gen_gram_matrix(4, 0.1, seed),
+            lambda seed: gen_synthetic_image(12, 12, seed),
+        )
+        for make in makers:
+            for bad in (3.0, 2.5, "3", True, np.bool_(True)):
+                with pytest.raises(InvalidInput, match="integer"):
+                    make(bad)
+            with pytest.raises(InvalidInput, match=">= 0"):
+                make(-1)
+            assert make(np.uint8(3)).tobytes() == make(3).tobytes()
+
+    def test_fista_iterations(self):
+        prob = build_ista(gen_sparse_instance(16, 8, 0.1, 0.1, seed=0))
+        for bad in (2.5, 2.0, "2", True):
+            with pytest.raises(InvalidInput, match="integer"):
+                fista_run(prob, bad)
+        res = fista_run(prob, np.int64(2))
+        assert res.steps == 2 and type(res.steps) is int and len(res.errors) == 3
+
+
 class TestSparseInstances:
     def test_reproducible_and_trial_dependent(self):
         a = gen_sparse_instance(64, 32, 0.1, 0.1, seed=3)
@@ -271,6 +365,8 @@ class TestSparseInstances:
             gen_sparse_instance(8, 4, 1.5, 0.1, seed=0)
         with pytest.raises(InvalidInput):
             gen_sparse_instance(8, 4, 0.1, -0.1, seed=0)
+        with pytest.raises(InvalidInput):
+            gen_sparse_instance(8, 4, 0.1, np.nan, seed=0)
         with pytest.raises(DimensionError):
             SparseRecoveryInstance(M=np.eye(3), y=np.zeros(2), x_true=np.zeros(3))
 
@@ -1007,3 +1103,27 @@ class TestTracedMaps:
         assert len(tracer.cheb_steps) == before + 2
         # uninstall put every attribute back
         assert experiments.run_inertial is run_inertial and problems.blur_map is blur_map
+
+    def test_layer_metrics_of_a_traced_cli(self, capsys):
+        # --trace 1 reduces the spans with layer_metrics, whose
+        # core.accept_ratio divides the accepted steps by the calls of
+        # core.inertial_step: a runner that stopped calling the step through
+        # that attribute would make it divide by zero.
+        tracing = _load_tracing()
+        tracer = tracing.Tracer()
+        traced_main = tracer.wrap(main, "cli.main")
+        tracer.unit_id = 0
+        tracer.install()
+        try:
+            assert traced_main(["toy", "--map", "tanh"]) == EX_OK
+            ista = ["ista", "--seeds", "1", "--n", "32", "--m", "16", "--iters", "100"]
+            assert traced_main(ista) == EX_OK
+        finally:
+            tracer.uninstall()
+        files = {"traceio_rows": 10, "traceio_bytes": 400, "useful_steps": 6, "cheb_steps": 8}
+        metrics = tracing.layer_metrics(tracer, 1, files, [1.0, 1.0])
+        assert all(math.isfinite(value) for value, _ in metrics.values()), metrics
+        assert metrics["core.accept_ratio"][0] == 1.0
+        assert metrics["core.steps"][0] == tracer.steps > 0
+        assert metrics["problems.map_eval_us"][0] > 0.0
+        assert metrics["core.step_overhead_us"][0] > 0.0
