@@ -5,7 +5,6 @@ __all__ = [
     "ConfigError",
     "DegenerateOperator",
     "DimensionError",
-    "FormatError",
     "InvalidInput",
     "InvalidRange",
     "NonFiniteValue",
@@ -14,7 +13,6 @@ __all__ = [
     "NotSymmetric",
     "SingularDiagonal",
     "SpectrumNotCertifiedReal",
-    "UnsupportedFormat",
 ]
 
 
@@ -56,14 +54,6 @@ class SingularDiagonal(ChebiterError, ValueError):
 
 class DegenerateOperator(ChebiterError, ValueError):
     """Operator is identically zero or otherwise unusable for the requested build."""
-
-
-class FormatError(ChebiterError, ValueError):
-    """File content does not parse under the expected format."""
-
-
-class UnsupportedFormat(FormatError):
-    """File parses as a related format the package deliberately does not handle."""
 
 
 class ConfigError(ChebiterError, ValueError):

@@ -383,6 +383,9 @@ def run_ista(
     seeds = _index(seeds, "seeds")
     if seeds < 1:
         raise InvalidInput(f"seeds must be >= 1, got {seeds}")
+    record_first = _index(record_first, "record_first")
+    if record_first < 0:
+        raise InvalidInput(f"record_first must be >= 0, got {record_first}")
     result = ExperimentResult("ista")
     stop = StopCriteria(max_iters=iters)
     hit_counts = []

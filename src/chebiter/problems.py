@@ -2,16 +2,18 @@
 systems, toy nonlinear maps, and the sigmoid blur model, plus the seeded
 generators that produce reproducible instances of each.
 
-Maps that know their Jacobian as shift I + scale diag(q) A, with A
-symmetric and q >= 0, state it once through _factored_jacobian, which
-also attaches a jacobian_spectrum hook, so range estimation gets the
-exact real spectrum instead of falling back to symmetrization. The blur
-map gives its positive definite A as a matvec, two products with 0/1
-band matrices (band(h) @ img @ band(w) is the window sum), together with
-its exact inverse from the band matrices' eigendecompositions: its hook
-returns the two extreme eigenvalues, the upper by Lanczos on the scaled
-blur and the lower by Lanczos on its inverse, and the dense A is built
-only for its jacobian.
+Every certified map (ISTA shrinkage, Jacobi, tanh(A x) and the blur)
+knows its Jacobian as shift I + scale diag(q) A, with A symmetric and
+q >= 0, and states it once through _factored_jacobian. That gives both
+its jacobian hook and a jacobian_spectrum hook, so range estimation gets
+the exact real spectrum instead of falling back to symmetrization. A is
+a dense array, or for the blur a positive definite operator: a matvec,
+two products with 0/1 band matrices (band(h) @ img @ band(w) is the
+window sum), together with its exact inverse from the band matrices'
+eigendecompositions. The blur's spectrum hook returns the two extreme
+eigenvalues, the upper by Lanczos on the scaled blur and the lower by
+Lanczos on its inverse; only its jacobian hook assembles the dense A,
+from the matvec, within the dense size cap.
 """
 from __future__ import annotations
 
@@ -30,8 +32,8 @@ from .errors import (
     SingularDiagonal,
 )
 from .spectral import (
-    MAX_DENSE_DIM,
     _REL_ASYM_TOL,
+    _check_dense_size,
     _check_square,
     _rel_asymmetry,
     _similarity_spectrum,
@@ -58,7 +60,6 @@ __all__ = [
     "tanh_equation_map",
     "power_map",
     "richardson_map",
-    "blur_matrix",
     "blur_map",
     "deblur_map",
     "gen_synthetic_image",
@@ -100,9 +101,10 @@ def _check_tau(tau) -> None:
 
 
 def _check_beta(beta) -> None:
-    # inf, the exact shrink, passes; NaN does not.
-    if not beta > 0.0:
-        raise InvalidInput(f"softplus sharpness must be > 0, got {beta}")
+    # Written so that NaN fails it too. inf fails as well: |z| (-beta) is
+    # then 0 (-inf), NaN, at z = 0; the exact shrink is soft_shrink.
+    if not 0.0 < beta < math.inf:
+        raise InvalidInput(f"softplus sharpness must be finite and > 0, got {beta}")
 
 
 def soft_shrink(x, tau: float):
@@ -188,22 +190,38 @@ def smooth_soft_shrink_grad(x, tau: float, beta: float = _BETA):
 _Hook = Callable[[np.ndarray], np.ndarray]
 
 
-def _factored_jacobian(
-    A: np.ndarray, q: _Hook, shift: float = 0.0, scale: float = 1.0
-) -> Tuple[_Hook, Optional[_Hook]]:
-    """(jacobian, jacobian_spectrum) hooks for J(x) = shift I + scale diag(q(x)) A.
+def _dense_operator(matvec: _Hook, n: int) -> np.ndarray:
+    """The n x n matrix of a linear matvec, column k being matvec of the
+    k-th identity column; refused with InvalidInput past MAX_DENSE_DIM."""
+    _check_dense_size(n)
+    return np.column_stack([matvec(e) for e in np.eye(n)])
 
-    q(x) must be nonnegative. The spectrum hook, shift + scale times the
-    real spectrum of diag(q(x)) A, is None unless A is symmetric to the
-    tolerance of the spectral layer.
+
+def _factored_jacobian(
+    A, q: _Hook, shift: float = 0.0, scale: float = 1.0
+) -> Tuple[_Hook, Optional[_Hook]]:
+    """(jacobian, jacobian_spectrum) hooks for J(x) = shift I + scale diag(q(x)) A,
+    the one Jacobian statement of every certified map.
+
+    q(x) must be nonnegative. A is a dense array, or a pair (matvec,
+    inverse matvec) of a symmetric positive definite operator. The
+    spectrum hook is shift + scale times the real eigenvalues of
+    diag(q(x)) A that _similarity_spectrum gives: the full spectrum of a
+    dense A, the two extremes of an operator. It is None for a dense A
+    that is not symmetric to the tolerance of the spectral layer. The
+    jacobian hook of an operator assembles A from its matvec on every
+    call (_dense_operator), so only up to MAX_DENSE_DIM.
     """
-    n = A.shape[0]
+    dense = isinstance(A, np.ndarray)
 
     def jacobian(x):
-        return shift * np.eye(n) + scale * q(x)[:, None] * A
+        qx = q(x)
+        n = qx.size
+        M = A if dense else _dense_operator(A[0], n)
+        return shift * np.eye(n) + scale * qx[:, None] * M
 
     spectrum = None
-    if _rel_asymmetry(A) <= _REL_ASYM_TOL:
+    if not dense or _rel_asymmetry(A) <= _REL_ASYM_TOL:
 
         def spectrum(x):
             return shift + scale * _similarity_spectrum(A, q(x))
@@ -555,48 +573,26 @@ _BLUR_SELF = 1.4
 _BLUR_WEIGHT = 0.1
 
 
-def _check_image_shape(height: int, width: int) -> None:
+def _check_image_shape(height: int, width: int) -> Tuple[int, int]:
+    height, width = _index(height, "height"), _index(width, "width")
     if height < 1 or width < 1:
         raise InvalidInput(f"need height, width >= 1, got {height}, {width}")
+    return height, width
 
 
 def _band(m: int) -> np.ndarray:
     """The m x m 0/1 matrix with ones where |i - j| <= _BLUR_HALF.
 
     band(h) @ img @ band(w) is the zero-padded window sum of an h x w
-    image, so it defines the blur both for the kernel and for the dense C.
+    image, so it defines the blur C = _BLUR_WEIGHT kron(band(h), band(w))
+    + _BLUR_SELF I, which is exactly symmetric.
     """
     i = np.arange(m)
     return (np.abs(i[:, None] - i) <= _BLUR_HALF).astype(float)
 
 
-def blur_matrix(height: int, width: int) -> np.ndarray:
-    """Dense linear blur operator C on flattened height x width images.
-
-    Each output pixel is 1.5 times its own value plus 0.1 times every
-    neighbor in a 7 x 7 window, with zero padding at the borders. That is
-    the Kronecker form C = _BLUR_WEIGHT kron(_band(height), _band(width))
-    + _BLUR_SELF I; it is exactly symmetric. Only the nonzero width x
-    width blocks are written into a zero matrix, so the pages of the
-    all-zero blocks are never touched. Images of more than MAX_DENSE_DIM
-    pixels are refused with InvalidInput rather than allocating the n^2
-    array.
-    """
-    _check_image_shape(height, width)
-    n = height * width
-    if n > MAX_DENSE_DIM:
-        raise InvalidInput(
-            f"dense blur matrix limited to height * width <= {MAX_DENSE_DIM}, got {n}"
-        )
-    rows, cols = np.nonzero(_band(height))
-    C = np.zeros((n, n))
-    C.reshape(height, width, height, width)[rows, :, cols, :] = _BLUR_WEIGHT * _band(width)
-    C.flat[:: n + 1] += _BLUR_SELF
-    return C
-
-
 def _blur(x, band_h: np.ndarray, band_w: np.ndarray) -> np.ndarray:
-    """C x for the C of blur_matrix, without forming C.
+    """C x for the blur C on flattened images, without forming C.
 
     band_h and band_w are _band(height) and _band(width). The window sum
     is the two matrix products band_h @ img @ band_w, O(n (h + w)) work
@@ -625,7 +621,7 @@ def _band_eigen(band_h: np.ndarray, band_w: np.ndarray):
 
 
 def _unblur(x, U_h: np.ndarray, U_w: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """C^-1 x for the C of blur_matrix, from the factors of _band_eigen:
+    """C^-1 x for the blur C, from the factors of _band_eigen:
     U_h [(U_h^T img U_w) / d] U_w^T, four matrix products."""
     core = U_h.T @ np.asarray(x, dtype=float).reshape(d.shape) @ U_w
     core /= d
@@ -638,21 +634,22 @@ def blur_map(height: int, width: int) -> FixedPointMap:
     eval, the slope q = s (1 - s) of the Jacobian diag(q) C and the
     spectrum certificate all apply C matrix-free as two band-matrix
     products (_blur); the two band matrices are built, and factored by
-    eigh (_band_eigen), once here. The hook returns the smallest and the
-    largest eigenvalue of diag(q) C, which C's exact symmetry and q >= 0
-    make real, at any image size: the largest by Lanczos on
-    S = sqrt(q) C sqrt(q), the smallest by Lanczos on q_min S^-1, applied
-    through the exact inverse _unblur (spectral._shift_invert_extremes).
-    Only the jacobian hook builds the dense blur_matrix, so a run that
-    estimates its range never forms it, and that hook alone is limited to
-    MAX_DENSE_DIM pixels.
+    eigh (_band_eigen), once here. The Jacobian is stated through
+    _factored_jacobian with C as the pair (_blur, _unblur). Its spectrum
+    hook returns the smallest and the largest eigenvalue of diag(q) C,
+    which C's exact symmetry and q >= 0 make real, at any image size: the
+    largest by Lanczos on S = sqrt(q) C sqrt(q), the smallest by Lanczos
+    on q_min S^-1, applied through the exact inverse _unblur
+    (spectral._shift_invert_extremes). Only the jacobian hook assembles
+    the dense C, from _blur, so a run that estimates its range never
+    forms it, and that hook alone is limited to MAX_DENSE_DIM pixels.
 
     A non-finite pixel is not confined to its window: the products take
     0 * inf, so eval of an image with one inf pixel is 1.0 on that
     pixel's 7 x 7 window and NaN everywhere else. The runner, the
     fixed-point check and Lanczos all reject non-finite vectors first.
     """
-    _check_image_shape(height, width)
+    height, width = _check_image_shape(height, width)
     band_h, band_w = _band(height), _band(width)
     eigen = _band_eigen(band_h, band_w)
 
@@ -669,12 +666,7 @@ def blur_map(height: int, width: int) -> FixedPointMap:
         s = step(x)
         return s * (1.0 - s)
 
-    def jacobian(x):
-        return slope(x)[:, None] * blur_matrix(height, width)
-
-    def spectrum(x):
-        return _similarity_spectrum((blur, unblur), slope(x))
-
+    jacobian, spectrum = _factored_jacobian((blur, unblur), slope)
     return FixedPointMap(
         dim=height * width,
         eval=step,
@@ -698,6 +690,7 @@ def gen_synthetic_image(height: int, width: int, seed: int) -> np.ndarray:
     [0, 1]. The dim background keeps the blur Jacobian away from its
     saturation extremes, which is what makes the inversion well posed.
     """
+    height, width = _check_image_shape(height, width)
     margin = 5
     if min(height, width) <= 2 * margin:
         raise InvalidInput(

@@ -30,8 +30,6 @@ from .errors import (
 )
 
 __all__ = [
-    "chebyshev_eval",
-    "monic_chebyshev",
     "period_polynomial",
     "period_contraction_bound",
     "per_step_rate",
@@ -44,10 +42,11 @@ __all__ = [
 ]
 
 # Largest n the dense paths accept: symmetric_eigenvalues, the similarity
-# spectrum of a dense A and the dense path of estimate_eigen_range. Their
-# O(n^2) memory and O(n^3) time were only checked up to this size. A map
-# that gives A as a matvec and its inverse (the blur) is certified by
-# Lanczos, without cap.
+# spectrum of a dense A, the dense path of estimate_eigen_range and the
+# jacobian hook of a map that gives A as an operator, which assembles A
+# from its matvec. Their O(n^2) memory and O(n^3) time were only checked
+# up to this size. A map that gives A as a matvec and its inverse (the
+# blur) is certified by Lanczos, without cap.
 MAX_DENSE_DIM = 1024
 
 _REL_ASYM_TOL = 1e-10
@@ -59,41 +58,6 @@ _LANCZOS_SEED = 0
 _LANCZOS_TOL = 1e-12
 _LANCZOS_CHECK = 20
 _LANCZOS_MAX_STEPS = 1000
-
-
-def chebyshev_eval(x, degree: int):
-    """Chebyshev polynomial C_degree evaluated by the three-term recursion.
-
-    Works for scalar or array x, inside or outside [-1, 1]. On [-1, 1]
-    it agrees with cos(degree * arccos(x)).
-    """
-    d = int(degree)
-    if d < 0:
-        raise InvalidInput(f"degree must be >= 0, got {degree}")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if d == 0:
-        return prev
-    cur = x.copy()
-    for _ in range(d - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
-
-
-def monic_chebyshev(x, rng: EigenRange, degree: int):
-    """Monic polynomial of given degree with roots at the Chebyshev points
-    of [a, b]: 2^(1-T) * ((b-a)/2)^T * C_T((2x - b - a)/(b - a)).
-
-    A zero-width range degenerates to (x - a)^T.
-    """
-    T = int(degree)
-    if T < 1:
-        raise InvalidInput(f"degree must be >= 1, got {degree}")
-    x = np.asarray(x, dtype=float)
-    hw = rng.halfwidth
-    if hw == 0.0:
-        return (x - rng.center) ** T
-    return 2.0 ** (1 - T) * hw**T * chebyshev_eval((x - rng.center) / hw, T)
 
 
 def period_polynomial(lam, schedule: InertialSchedule):

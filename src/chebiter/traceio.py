@@ -1,5 +1,6 @@
-"""File formats for experiment outputs: error-trace CSV, summary tables,
-binary PGM images, and flat key=value config files.
+"""File formats: the experiment outputs (error-trace CSV, summary tables,
+binary PGM images), which the package writes and never reads, and flat
+key=value config files, which it reads.
 
 Floats are written with %.17g so a written file reads back bit for bit,
 and images quantize with floor(p * 255 + 0.5), which makes outputs
@@ -13,15 +14,13 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InvalidInput, UnsupportedFormat
+from .errors import ConfigError, InvalidInput
 
 __all__ = [
     "TRACE_HEADER",
     "TraceRecord",
     "write_trace_csv",
-    "read_trace_csv",
     "write_pgm",
-    "read_pgm",
     "parse_config",
     "load_config",
 ]
@@ -117,66 +116,6 @@ def write_rows_csv(path, rows: Sequence[dict]) -> None:
             writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row.values()])
 
 
-def read_trace_csv(path) -> List[TraceRecord]:
-    """Read a trace CSV back into records, in file order.
-
-    The header must match exactly; each run's k column must count up from
-    zero with the omega cell empty only on the k = 0 row.
-    """
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError("trace file is empty") from None
-        if tuple(header) != TRACE_HEADER:
-            raise FormatError(
-                f"bad trace header {header!r}, expected {list(TRACE_HEADER)!r}"
-            )
-        order: List[str] = []
-        solvers: Dict[str, str] = {}
-        errors: Dict[str, List[float]] = {}
-        omegas: Dict[str, List[float]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise FormatError(f"line {lineno}: expected 5 cells, got {len(row)}")
-            run_id, solver, k_str, err_str, omega_str = row
-            try:
-                k = int(k_str)
-                err = float(err_str)
-            except ValueError:
-                raise FormatError(f"line {lineno}: malformed numeric cell") from None
-            if run_id not in errors:
-                order.append(run_id)
-                solvers[run_id] = solver
-                errors[run_id] = []
-                omegas[run_id] = []
-            elif solvers[run_id] != solver:
-                raise FormatError(f"line {lineno}: run {run_id!r} changes solver")
-            if k != len(errors[run_id]):
-                raise FormatError(
-                    f"line {lineno}: expected k = {len(errors[run_id])}, got {k}"
-                )
-            if k == 0:
-                if omega_str != "":
-                    raise FormatError(f"line {lineno}: k = 0 row must leave omega empty")
-            else:
-                try:
-                    omegas[run_id].append(float(omega_str))
-                except ValueError:
-                    raise FormatError(f"line {lineno}: malformed omega cell") from None
-            errors[run_id].append(err)
-    return [
-        TraceRecord(
-            run_id=rid,
-            solver=solvers[rid],
-            errors=np.asarray(errors[rid]),
-            omegas=np.asarray(omegas[rid]),
-        )
-        for rid in order
-    ]
-
-
 def write_pgm(path, image) -> None:
     """Write a 2-D array of intensities in [0, 1] as binary PGM (maxval 255).
 
@@ -192,54 +131,6 @@ def write_pgm(path, image) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(levels.tobytes())
-
-
-def _pgm_header(data: bytes, path) -> tuple:
-    """The four header tokens (magic, width, height, maxval) and the offset
-    just past the last one, skipping whitespace and # comments."""
-    tokens: List[bytes] = []
-    i = 0
-    while len(tokens) < 4:
-        if i >= len(data):
-            raise FormatError(f"{path}: truncated header")
-        ch = data[i : i + 1]
-        if ch in b" \t\r\n":
-            i += 1
-        elif ch == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-        else:
-            start = i
-            while i < len(data) and data[i : i + 1] not in b" \t\r\n#":
-                i += 1
-            tokens.append(data[start:i])
-    return tokens, i
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM written by write_pgm back to floats in [0, 1].
-
-    Comments in the header are tolerated; only maxval 255 is supported.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"P5"):
-        magic = data[:2].decode("ascii", errors="replace")
-        raise UnsupportedFormat(f"{path}: magic {magic!r} is not binary PGM (P5)")
-    tokens, offset = _pgm_header(data, path)
-    try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError:
-        raise FormatError(f"{path}: malformed header tokens {tokens[1:]!r}") from None
-    if maxval != 255:
-        raise UnsupportedFormat(f"{path}: maxval {maxval} unsupported, expected 255")
-    if w < 1 or h < 1:
-        raise FormatError(f"{path}: bad dimensions {w}x{h}")
-    pixels = data[offset + 1 : offset + 1 + w * h]
-    if len(pixels) != w * h:
-        raise FormatError(f"{path}: expected {w * h} pixel bytes, found {len(pixels)}")
-    levels = np.frombuffer(pixels, dtype=np.uint8).reshape(h, w)
-    return levels.astype(float) / 255.0
 
 
 def parse_config(text: str) -> Dict[str, str]:

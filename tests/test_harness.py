@@ -5,6 +5,7 @@ numbers from the module tests; CLI tests cover settings precedence,
 exit codes, and byte-identical reruns.
 """
 import dataclasses
+import hashlib
 import inspect
 import math
 import os
@@ -12,6 +13,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import chebiter
@@ -31,7 +33,7 @@ from chebiter.experiments import (
     run_tanh_solve,
     run_toy_power,
 )
-from chebiter.traceio import read_pgm, read_trace_csv
+from oracles import read_pgm, read_trace_csv
 
 # frozen in the module test suites
 POWER_FP = 2.9645655163368224
@@ -40,7 +42,7 @@ BOUND_19_T2 = 0.47058823529411765
 BOUND_19_T4 = 0.1245136186770428
 
 
-def run_alone(argv):
+def run_alone(argv, cwd=None):
     """Run the CLI on argv in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(chebiter.__file__)))
     return subprocess.run(
@@ -49,6 +51,7 @@ def run_alone(argv):
         capture_output=True,
         text=True,
         timeout=120,
+        cwd=cwd,
     )
 
 
@@ -208,9 +211,17 @@ class TestDeblurDriver:
     def test_never_builds_dense_blur(self, monkeypatch):
         # the certificate is matrix-free; only the jacobian hook needs C
         calls = []
-        monkeypatch.setattr(chebiter.problems, "blur_matrix", lambda *a: calls.append(a))
+        assemble = chebiter.problems._dense_operator
+
+        def spy(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(chebiter.problems, "_dense_operator", spy)
         run_deblur(None, seeds=1, iters=8)
         assert calls == []
+        chebiter.problems.blur_map(3, 4).jacobian(np.zeros(12))
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("driver", [run_ista, run_deblur])
@@ -219,6 +230,15 @@ def test_seed_count_is_an_integer(driver):
     for bad in (True, 1.5, 1.0, "1"):
         with pytest.raises(InvalidInput, match="integer"):
             driver(None, seeds=bad)
+
+
+def test_recorded_seed_count_is_a_nonnegative_integer():
+    # record_first=True and 0.5 used to record seed 0
+    for bad in (True, 0.5, 1.0, "1"):
+        with pytest.raises(InvalidInput, match="integer"):
+            run_ista(None, seeds=1, record_first=bad)
+    with pytest.raises(InvalidInput, match=">= 0"):
+        run_ista(None, seeds=1, record_first=-1)
 
 
 class TestCliExitCodes:
@@ -398,6 +418,21 @@ class TestCliBehavior:
         for name in ("jacobi_traces.csv", "jacobi_summary.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_outputs_match_pinned_hashes(self, tmp_path):
+        # The byte-identical output contract, pinned across changes to the
+        # package: SHA-256 of stdout and of each written file, for commands
+        # whose bits no BLAS thread count moves, run in a fresh interpreter
+        # from an empty directory so that stdout names relative paths.
+        for argv, want in PINNED_OUTPUTS.items():
+            cwd = tmp_path / argv[-1]
+            cwd.mkdir()
+            proc = run_alone([*argv, "--out", "out"], cwd=cwd)
+            assert proc.returncode == EX_OK, proc.stderr
+            got = {"stdout": hashlib.sha256(proc.stdout.encode()).hexdigest()}
+            for path in sorted((cwd / "out").iterdir()):
+                got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert got == want, argv
+
     def test_deblur_writes_images(self, tmp_path, capsys):
         code = main(["deblur", "--seeds", "1", "--iters", "48", "--out", str(tmp_path)])
         assert code == EX_OK
@@ -405,6 +440,26 @@ class TestCliBehavior:
         assert img.shape == (28, 28)
         assert float(img.min()) >= 0.0 and float(img.max()) <= 1.0
 
+
+# SHA-256 of the stdout and of every file written by each command, with
+# --out out; see test_outputs_match_pinned_hashes. A change that moves
+# these bytes must argue for it and update them.
+PINNED_OUTPUTS = {
+    ("bounds",): {
+        "stdout": "50c1f7b28b8cb5b59763b48ca6c3c875f3c4a2fff658bafad40fc5a6382616bd",
+        "bounds.csv": "9450f3a10af98e6a50faa15b5e06ce3865ce728bf6c9fd775f8faa7e56083abd",
+    },
+    ("toy", "--map", "power"): {
+        "stdout": "d556571bdbf31dce63770205261c4b9813ed5437aa92705f80e5337dd2aa2eb8",
+        "toy_power_summary.csv": "fd48ab25a45e011840fbe2a396aa7719014fdca98d954056d1143d7318cc7d39",
+        "toy_power_traces.csv": "ef4d9963208b762cf2b45c05fb90b9b23de0442d76c9f0d26db0f5776ef99726",
+    },
+    ("toy", "--map", "tanh"): {
+        "stdout": "8e614fdf203239f27d54dea1b277186b485d3c53647bc95c4a659901ab4cfb13",
+        "tanh_solve_summary.csv": "c3ad543674f2762b7eea3d105ea9f8fc0be2a159cdd48601a8c454f4c14701c8",
+        "tanh_solve_traces.csv": "4c82baef04849b354cb11047f1671bf8a3de5613ec077db99c390b523f3afc93",
+    },
+}
 
 # The command line surface: long flags per subcommand, which are also its
 # config keys (with "-" for "_"), and toy's --map choices.
@@ -423,18 +478,18 @@ CLI_FLAGS = {
 PACKAGE_NAMES = """
     EigenRange FixedPointMap InertialSchedule IterationTrace StopCriteria StopReason
     chebyshev_roots chebyshev_schedule constant_sor_schedule inertial_step plain_schedule
-    run_inertial chebyshev_eval estimate_eigen_range jacobian_fd monic_chebyshev per_step_rate per_step_rate_limit
+    run_inertial estimate_eigen_range jacobian_fd per_step_rate per_step_rate_limit
     period_contraction_bound period_polynomial period_spectral_radius
     real_spectrum_via_similarity symmetric_eigenvalues FistaResult JacobiInstance
-    ProximalProblem SparseRecoveryInstance blur_map blur_matrix build_ista deblur_map
+    ProximalProblem SparseRecoveryInstance blur_map build_ista deblur_map
     fista_momentum fista_run gen_gram_matrix gen_jacobi_instance gen_sparse_instance
     gen_synthetic_image jacobi_map power_map richardson_map sigmoid smooth_soft_shrink
     smooth_soft_shrink_grad soft_shrink softplus tanh_affine_map tanh_equation_map
-    TRACE_HEADER TraceRecord load_config parse_config read_pgm read_trace_csv write_pgm
+    TRACE_HEADER TraceRecord load_config parse_config write_pgm
     write_trace_csv ExperimentResult bounds_rows run_deblur run_ista run_jacobi run_tanh_gram
     run_tanh_solve run_toy_power ChebiterError ConfigError DegenerateOperator DimensionError
-    FormatError InvalidInput InvalidRange NonFiniteValue NotAFixedPoint
-    NotConverged NotSymmetric SingularDiagonal SpectrumNotCertifiedReal UnsupportedFormat __version__
+    InvalidInput InvalidRange NonFiniteValue NotAFixedPoint
+    NotConverged NotSymmetric SingularDiagonal SpectrumNotCertifiedReal __version__
 """.split()
 
 
@@ -460,7 +515,7 @@ class TestSurface:
         assert set(settings) == {k.replace("-", "_") for k in CLI_FLAGS[command]}
 
     def test_package_exports(self):
-        assert len(PACKAGE_NAMES) == 78
+        assert len(PACKAGE_NAMES) == 71
         assert sorted(chebiter.__all__) == sorted(PACKAGE_NAMES)
         for name in PACKAGE_NAMES:
             assert hasattr(chebiter, name), name
@@ -475,7 +530,7 @@ class TestSurface:
                 count += len(dataclasses.fields(obj))
             elif inspect.isfunction(obj):
                 count += len(inspect.signature(obj).parameters)
-        assert count == 168
+        assert count == 159
 
     def test_wrapped_step_sees_every_attempt(self, monkeypatch):
         # A benchmark tracer replaces core.inertial_step to count attempted

@@ -21,7 +21,6 @@ from chebiter import (
     StopCriteria,
     StopReason,
     blur_map,
-    blur_matrix,
     build_ista,
     chebyshev_schedule,
     deblur_map,
@@ -53,7 +52,7 @@ from chebiter import (
 )
 from chebiter.cli import EX_OK, main
 
-from oracles import blur_slice_sum, brute_real_eigs_sorted, sigmoid_two_branch
+from oracles import blur_matrix, blur_slice_sum, brute_real_eigs_sorted, sigmoid_two_branch
 
 # Independently computed with 40-digit arithmetic, rounded to double.
 SIGMOID_15 = 0.81757447619364366
@@ -222,7 +221,8 @@ class TestShrinkageBitIdentity:
 
 
 class TestShrinkageParameters:
-    # NaN fails every parameter check; beta = inf, the exact shrink, passes.
+    # NaN fails every parameter check, and so does beta = inf, which would
+    # give NaN at 0 (|z| (-beta) = 0 (-inf)); the exact shrink is soft_shrink.
     def test_soft_shrink_rejects_nan_threshold(self):
         with pytest.raises(InvalidInput):
             soft_shrink(np.ones(3), np.nan)
@@ -250,11 +250,14 @@ class TestShrinkageParameters:
         with pytest.raises(InvalidInput):
             gen_gram_matrix(8, 0.1, seed=0, normalize_to=np.nan)
 
-    def test_infinite_sharpness_is_the_exact_shrink(self):
-        x = np.array([-2.0, -0.3, 0.3, 2.0])
-        assert smooth_soft_shrink(x, 0.5, beta=np.inf).tolist() == soft_shrink(x, 0.5).tolist()
-        assert softplus(x, np.inf).tolist() == np.maximum(x, 0.0).tolist()
-        assert smooth_soft_shrink_grad(x, 0.5, beta=np.inf).tolist() == [1.0, 0.0, 0.0, 1.0]
+    def test_infinite_sharpness_is_refused(self):
+        for call in (
+            lambda: softplus(0.0, np.inf),
+            lambda: smooth_soft_shrink([0.5, -0.5], 0.5, beta=np.inf),
+            lambda: smooth_soft_shrink_grad(0.5, 0.5, beta=np.inf),
+        ):
+            with pytest.raises(InvalidInput, match="finite"):
+                call()
 
 
 class TestNormsMatchLinalg:
@@ -308,11 +311,18 @@ class TestIntegerArguments:
                 lambda: gen_sparse_instance(16, bad, 0.1, 0.1, seed=0),
                 lambda: gen_jacobi_instance(bad, 0),
                 lambda: gen_gram_matrix(bad, 0.1, seed=0),
+                lambda: blur_map(bad, 12),
+                lambda: blur_map(12, bad),
+                lambda: gen_synthetic_image(bad, 12, 0),
+                lambda: gen_synthetic_image(12, bad, 0),
             ):
                 with pytest.raises(InvalidInput, match="integer"):
                     make()
         a = gen_sparse_instance(np.int64(16), np.int32(8), 0.1, 0.1, seed=0)
         assert a.M.tobytes() == gen_sparse_instance(16, 8, 0.1, 0.1, seed=0).M.tobytes()
+        img = gen_synthetic_image(np.int64(12), np.uint8(12), 0)
+        assert img.tobytes() == gen_synthetic_image(12, 12, 0).tobytes()
+        assert blur_map(np.int32(3), np.int64(4)).dim == 12
 
     def test_seeds(self):
         makers = (
@@ -859,10 +869,8 @@ class TestBlur:
 
 
     def test_dense_matrix_only_within_cap(self):
-        # 40 x 40 is past MAX_DENSE_DIM: the dense C and the jacobian hook are
-        # refused, the matrix-free range certificate is not.
-        with pytest.raises(InvalidInput):
-            blur_matrix(40, 40)
+        # 40 x 40 is past MAX_DENSE_DIM: the jacobian hook, which assembles
+        # the dense C, is refused, the matrix-free range certificate is not.
         img = gen_synthetic_image(40, 40, seed=0).ravel()
         forward = blur_map(40, 40)
         with pytest.raises(InvalidInput):
@@ -871,6 +879,24 @@ class TestBlur:
         assert 0.0 < r.a < r.b < 1.0
         with pytest.raises(InvalidInput):
             blur_map(0, 5)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 5), (8, 8), (12, 12), (28, 28)])
+    def test_jacobian_is_slope_times_dense_blur_bit_for_bit(self, shape):
+        # The jacobian hooks assemble C from the matvec; entrywise that is
+        # 0/1 window counts times 0.1 plus 1.4 on the diagonal, exactly the
+        # Kronecker form, so the bits match. Pixels at 100 give slope 0.
+        n = shape[0] * shape[1]
+        C = blur_matrix(*shape)
+        forward = blur_map(*shape)
+        x = np.random.default_rng(n).uniform(0.0, 1.0, n)
+        x[::5] = 100.0
+        g = forward(x)
+        slope = g * (1.0 - g)
+        J = slope[:, None] * C
+        assert forward.jacobian(x).tobytes() == J.tobytes()
+        y = forward(np.random.default_rng(n + 1).uniform(0.0, 1.0, n))
+        richardson = np.eye(n) - 0.8 * J
+        assert deblur_map(y, *shape).jacobian(x).tobytes() == richardson.tobytes()
 
     def test_deblur_fixed_point_and_spectrum_composition(self):
         img = gen_synthetic_image(12, 12, seed=3)

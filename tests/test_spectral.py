@@ -20,13 +20,11 @@ from chebiter import (
     StopCriteria,
     StopReason,
     bounds_rows,
-    chebyshev_eval,
     chebyshev_roots,
     chebyshev_schedule,
     core,
     estimate_eigen_range,
     jacobian_fd,
-    monic_chebyshev,
     per_step_rate,
     per_step_rate_limit,
     period_contraction_bound,
@@ -39,7 +37,7 @@ from chebiter import (
     symmetric_eigenvalues,
 )
 
-from oracles import brute_real_eigs_sorted
+from oracles import brute_real_eigs_sorted, chebyshev_eval, monic_chebyshev
 
 R19 = EigenRange(0.1, 0.9)
 
