@@ -33,12 +33,10 @@ __all__ = [
     "FixedPointMap",
     "EigenRange",
     "InertialSchedule",
-    "StopCriteria",
     "StopReason",
     "IterationTrace",
     "chebyshev_roots",
     "chebyshev_schedule",
-    "constant_sor_schedule",
     "plain_schedule",
     "inertial_step",
     "run_inertial",
@@ -224,46 +222,10 @@ def chebyshev_schedule(rng: EigenRange, period: int) -> InertialSchedule:
         raise InvalidRange(
             f"Chebyshev factors need a > 0 so the roots are nonzero, got a={rng.a}"
         )
-    factors = 1.0 / chebyshev_roots(rng, period)
+    # A factor that overflows is left to InertialSchedule's finite check.
+    with np.errstate(over="ignore"):
+        factors = 1.0 / chebyshev_roots(rng, period)
     return InertialSchedule(period=period, factors=tuple(factors), range=rng)
-
-
-def constant_sor_schedule(rng: EigenRange) -> InertialSchedule:
-    """The best single constant factor for [a, b]: w = 2 / (a + b).
-
-    Equals the period-1 Chebyshev schedule bit for bit on a range with
-    a > 0, but also accepts ranges with a <= 0 as long as a + b > 0.
-    """
-    if rng.a + rng.b <= 0.0:
-        raise InvalidRange(f"constant factor needs a + b > 0, got ({rng.a}, {rng.b})")
-    return InertialSchedule(period=1, factors=(2.0 / (rng.a + rng.b),), range=rng)
-
-
-@dataclass(frozen=True)
-class StopCriteria:
-    """Stopping rules for the runner.
-
-    A run goes to max_iters the way the reference experiments do. Two
-    rules are fixed: a step of norm exactly 0 stops it (tolerance), and a
-    step whose result is non-finite or has norm above 1e12 ends it
-    (divergence). error_target, when set, stops it after the first
-    accepted step whose error |x_{k+1} - x_ref| is at most the target.
-    """
-
-    max_iters: int
-    error_target: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        max_iters = _index(self.max_iters, "max_iters")
-        if max_iters < 1:
-            raise InvalidInput(f"max_iters must be >= 1, got {self.max_iters}")
-        target = self.error_target
-        if target is not None:
-            target = _real(target, "error_target")
-            if not 0.0 <= target < math.inf:
-                raise InvalidInput(f"error_target must be finite and >= 0, got {target}")
-        object.__setattr__(self, "max_iters", max_iters)
-        object.__setattr__(self, "error_target", target)
 
 
 class StopReason(str, Enum):
@@ -275,25 +237,22 @@ class StopReason(str, Enum):
 
 @dataclass
 class IterationTrace:
-    """Record of one run.
+    """Record of one run: run_inertial's, or fista_run's with unit factors.
 
-    errors[k] is |x_k - x_ref| for k = 0 .. steps, so len(errors) is
-    steps + 1. factors_used[k] is the factor applied at step k. When the
-    run was stopped by divergence the recorded errors still cover only the
-    finite iterates.
+    factors_used[k] is the factor applied at step k, and steps is their
+    number. errors[k] is |x_k - x_ref| for k = 0 .. steps, so len(errors)
+    is steps + 1. When the run was stopped by divergence the recorded
+    errors still cover only the finite iterates.
     """
 
     errors: np.ndarray
     factors_used: np.ndarray
-    steps: int
     stop_reason: StopReason
     x_final: np.ndarray
 
-    def __post_init__(self) -> None:
-        if len(self.errors) != self.steps + 1:
-            raise InvalidInput(
-                f"trace has {len(self.errors)} errors for {self.steps} steps"
-            )
+    @property
+    def steps(self) -> int:
+        return len(self.factors_used)
 
 
 def _as_vector(x, dim: int, what: str) -> np.ndarray:
@@ -348,8 +307,9 @@ def run_inertial(
     fpmap: FixedPointMap,
     schedule: InertialSchedule,
     x0: np.ndarray,
-    stop: StopCriteria,
     x_ref: np.ndarray,
+    max_iters: int,
+    error_target: Optional[float] = None,
 ) -> IterationTrace:
     """Run the relaxed iteration from x0 under the given schedule.
 
@@ -358,18 +318,28 @@ def run_inertial(
     contraction guarantee of the Chebyshev schedule only applies at
     multiples of the period.
 
-    A step whose result is non-finite or whose norm exceeds 1e12 is
-    rejected: the trace ends at the last accepted iterate, so every
-    recorded error is finite. The run is deterministic: same inputs, same
-    trace, bit for bit.
+    The run takes at most max_iters (>= 1) steps. Two stop rules are
+    fixed: a step of norm exactly 0 ends it (tolerance), and a step whose
+    result is non-finite or has norm above 1e12 is rejected and ends it
+    (divergence), so the trace ends at the last accepted iterate and every
+    recorded error is finite. error_target, when given (finite, >= 0),
+    stops the run after the first accepted step whose error is at most
+    the target. The run is deterministic: same inputs, same trace, bit for
+    bit.
     """
+    max_iters = _index(max_iters, "max_iters")
+    if max_iters < 1:
+        raise InvalidInput(f"max_iters must be >= 1, got {max_iters}")
+    if error_target is not None:
+        error_target = _real(error_target, "error_target")
+        if not 0.0 <= error_target < math.inf:
+            raise InvalidInput(f"error_target must be finite and >= 0, got {error_target}")
     x = _as_vector(x0, fpmap.dim, "x0").copy()
     if not np.isfinite(x).all():
         raise NonFiniteValue("x0 has non-finite components")
     ref = _as_vector(x_ref, fpmap.dim, "x_ref")
     if not np.isfinite(ref).all():
         raise NonFiniteValue("x_ref has non-finite components")
-    target = stop.error_target
 
     # x_new - ref and x_new - x are written into this one array, which is
     # never an iterate, so no step allocates a difference.
@@ -396,7 +366,7 @@ def run_inertial(
     # run on a 64-byte boundary (_aligned_empty); the offset of an operator
     # from a cache line, not the heap's history, is what its speed depends on.
     with np.errstate(over="ignore"):
-        for k in range(stop.max_iters):
+        for k in range(max_iters):
             w = factors[k % period]
             try:
                 x_new = inertial_step(fpmap, x, w)
@@ -420,14 +390,13 @@ def run_inertial(
             if diff.dot(diff) == 0.0:
                 stop_reason = StopReason.TOLERANCE
                 break
-            if target is not None and error <= target:
+            if error_target is not None and error <= error_target:
                 stop_reason = StopReason.TARGET
                 break
 
     return IterationTrace(
         errors=np.asarray(errors, dtype=float),
         factors_used=np.asarray(factors_used, dtype=float),
-        steps=len(factors_used),
         stop_reason=stop_reason,
         x_final=x,
     )

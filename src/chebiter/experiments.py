@@ -18,11 +18,9 @@ from .core import (
     EigenRange,
     FixedPointMap,
     InertialSchedule,
-    StopCriteria,
     StopReason,
     _index,
     chebyshev_schedule,
-    constant_sor_schedule,
     plain_schedule,
     run_inertial,
 )
@@ -108,7 +106,7 @@ def _run_solvers(
     """Run each named schedule, append trace records, return the traces."""
     traces = {}
     for solver, sched in schedules.items():
-        tr = run_inertial(fpmap, sched, x0, StopCriteria(max_iters=iters), x_ref=x_ref)
+        tr = run_inertial(fpmap, sched, x0, x_ref, iters)
         if tr.stop_reason is StopReason.DIVERGENCE:
             result.warnings.append(
                 f"{result.name}: run {run_prefix}{solver} diverged after {tr.steps} steps"
@@ -127,10 +125,11 @@ def _run_solvers(
 
 def _standard_schedules(rng: EigenRange, periods: Sequence[int]) -> Dict[str, InertialSchedule]:
     """plain, the best constant factor, and one Chebyshev schedule per
-    requested period above one (a period of 1 is the constant factor)."""
+    requested period above one. The best constant factor 2 / (a + b) is
+    the period-1 Chebyshev schedule, named sor."""
     schedules: Dict[str, InertialSchedule] = {"plain": plain_schedule()}
     if 1 in periods:
-        schedules["sor"] = constant_sor_schedule(rng)
+        schedules["sor"] = chebyshev_schedule(rng, 1)
     for T in periods:
         if T < 1:
             raise InvalidInput(f"period must be >= 1, got {T}")
@@ -154,7 +153,7 @@ def bounds_rows(
                 "period": int(T),
                 "range_a": rng.a,
                 "range_b": rng.b,
-                "sor_factor": 2.0 / (rng.a + rng.b),
+                "sor_factor": chebyshev_schedule(rng, 1).factors[0],
                 "sor_rate": (rng.b - rng.a) / (rng.b + rng.a),
                 "period_bound": period_contraction_bound(rng, T),
                 "per_step": per_step_rate(rng, T),
@@ -221,7 +220,7 @@ def run_toy_power(
     fpmap = power_map()
     x0 = np.array([2.0, 2.0])
     # Only the pilot's x_final is read; against the origin its errors come free.
-    pilot = run_inertial(fpmap, plain_schedule(), x0, StopCriteria(max_iters=60), np.zeros(2))
+    pilot = run_inertial(fpmap, plain_schedule(), x0, np.zeros(2), 60)
     x_star = pilot.x_final
     rng = estimate_eigen_range(fpmap, x_star).clipped()
     schedules = _standard_schedules(rng, periods)
@@ -276,9 +275,7 @@ def run_tanh_solve(
     # 1e-6 short of 2: the pilot range the study has always run, kept for its bytes.
     coarse = EigenRange(1.0, 2.0 - 1e-6)
     # Only the pilot's x_final is read; against the origin its errors come free.
-    pilot = run_inertial(
-        fpmap, chebyshev_schedule(coarse, periods[0]), x0, StopCriteria(max_iters=40), np.zeros(2)
-    )
+    pilot = run_inertial(fpmap, chebyshev_schedule(coarse, periods[0]), x0, np.zeros(2), 40)
     x_star = pilot.x_final
     rng = estimate_eigen_range(fpmap, x_star).clipped()
     schedules = _standard_schedules(rng, periods)
@@ -387,40 +384,34 @@ def run_ista(
     if record_first < 0:
         raise InvalidInput(f"record_first must be >= 0, got {record_first}")
     result = ExperimentResult("ista")
-    stop = StopCriteria(max_iters=iters)
     hit_counts = []
     fista_wins = 0
     for seed in range(seeds):
         inst = gen_sparse_instance(n, m, density, noise, seed)
         prob = build_ista(inst)
         x0 = np.zeros(n)
-        plain_tr = run_inertial(prob.fpmap, plain_schedule(), x0, stop, x_ref=inst.x_true)
+        plain_tr = run_inertial(prob.fpmap, plain_schedule(), x0, inst.x_true, iters)
         target = float(plain_tr.errors[-1])
         rng = estimate_eigen_range(prob.fpmap, plain_tr.x_final, fp_tol=1e-3).clipped()
         sched = chebyshev_schedule(rng, period)
         # Only the first hit of the target goes into the summary, so a run
         # whose trace is not recorded stops there.
-        cheb_stop = stop
-        if seed >= record_first:
-            cheb_stop = StopCriteria(max_iters=iters, error_target=target)
-        cheb_tr = run_inertial(prob.fpmap, sched, x0, cheb_stop, x_ref=inst.x_true)
+        cheb_tr = run_inertial(
+            prob.fpmap, sched, x0, inst.x_true, iters, None if seed < record_first else target
+        )
         hit = _iters_to(cheb_tr.errors, target)
         hit_counts.append(hit if hit >= 0 else iters + 1)
-        fista = fista_run(prob, fista_iters)
+        fista_tr = fista_run(prob, fista_iters)
         plain_at = float(plain_tr.errors[min(fista_iters, plain_tr.steps)])
-        fista_at = float(fista.errors[-1])
+        fista_at = float(fista_tr.errors[-1])
         win = fista_at < plain_at
         fista_wins += int(win)
         if seed < record_first:
-            result.records.append(
-                TraceRecord(f"seed{seed}/plain", "plain", plain_tr.errors, plain_tr.factors_used)
-            )
-            result.records.append(
-                TraceRecord(f"seed{seed}/cheb{period}", f"cheb{period}", cheb_tr.errors, cheb_tr.factors_used)
-            )
-            result.records.append(
-                TraceRecord(f"seed{seed}/fista", "fista", fista.errors, np.full(fista.steps, 1.0))
-            )
+            runs = {"plain": plain_tr, f"cheb{period}": cheb_tr, "fista": fista_tr}
+            for solver, tr in runs.items():
+                result.records.append(
+                    TraceRecord(f"seed{seed}/{solver}", solver, tr.errors, tr.factors_used)
+                )
         result.summary.append(
             {
                 "seed": seed,
@@ -475,7 +466,6 @@ def run_deblur(
     rng = EigenRange(range_a, range_b)
     forward = blur_map(height, width)
     schedules = {"plain": plain_schedule(), f"cheb{period}": chebyshev_schedule(rng, period)}
-    stop = StopCriteria(max_iters=iters)
     wins = 0
     for seed in range(seeds):
         img = gen_synthetic_image(height, width, seed)

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import FixedPointMap, _aligned_empty, _index, _norm
+from .core import FixedPointMap, IterationTrace, StopReason, _aligned_empty, _index, _norm
 from .errors import (
     DegenerateOperator,
     DimensionError,
@@ -49,7 +49,6 @@ __all__ = [
     "gen_sparse_instance",
     "ProximalProblem",
     "build_ista",
-    "FistaResult",
     "fista_momentum",
     "fista_run",
     "jacobi_map",
@@ -271,8 +270,8 @@ def gen_sparse_instance(
         raise InvalidInput(f"need n, m >= 1, got n={n}, m={m}")
     if not (0.0 <= density <= 1.0):
         raise InvalidInput(f"density must be in [0, 1], got {density}")
-    if not noise_sigma >= 0.0:
-        raise InvalidInput(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0.0 <= noise_sigma < math.inf:
+        raise InvalidInput(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = _seeded_rng(seed)
     M = _aligned_empty((m, n))
     rng.standard_normal(out=M)
@@ -340,24 +339,19 @@ def build_ista(instance: SparseRecoveryInstance) -> ProximalProblem:
     return ProximalProblem(instance=instance, fpmap=fpmap, A=A, b=b, gamma=gamma, tau=tau)
 
 
-@dataclass(frozen=True)
-class FistaResult:
-    errors: np.ndarray
-    x_final: np.ndarray
-    steps: int
-
-
 def fista_momentum(t: float) -> float:
     """Momentum parameter update (1 + sqrt(1 + 4 t^2)) / 2."""
     return (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
 
 
-def fista_run(problem: ProximalProblem, iters: int) -> FistaResult:
+def fista_run(problem: ProximalProblem, iters: int) -> IterationTrace:
     """Accelerated proximal gradient baseline with exact soft shrinkage.
 
     Uses the step size gamma and threshold tau of the problem build_ista
     made. Starts from zero with unit momentum. Errors are measured against
-    the true signal of the instance.
+    the true signal of the instance. Returns the trace a run_inertial run
+    would: iters steps, each recorded with factor 1, and stop reason
+    MAX_ITERS, since the baseline always runs its full budget.
     """
     iters = _index(iters, "iters")
     if iters < 1:
@@ -376,7 +370,12 @@ def fista_run(problem: ProximalProblem, iters: int) -> FistaResult:
         z = x_next + ((t - 1.0) / t_next) * (x_next - x)
         x, t = x_next, t_next
         errors.append(_norm(x - ref))
-    return FistaResult(errors=np.asarray(errors), x_final=x, steps=iters)
+    return IterationTrace(
+        errors=np.asarray(errors),
+        factors_used=np.ones(iters),
+        stop_reason=StopReason.MAX_ITERS,
+        x_final=x,
+    )
 
 
 def jacobi_map(P, q) -> FixedPointMap:
@@ -450,12 +449,16 @@ def gen_gram_matrix(
     n = _index(n, "n")
     if n < 1:
         raise InvalidInput(f"need n >= 1, got {n}")
-    if not std > 0.0:
-        raise InvalidInput(f"std must be > 0, got {std}")
+    if not 0.0 < std < math.inf:
+        raise InvalidInput(f"std must be finite and > 0, got {std}")
     rng = _seeded_rng(seed)
     M = rng.standard_normal((n, n))
-    M *= std
-    G = np.matmul(M.T, M, out=_aligned_empty((n, n)))
+    # A std large enough to overflow gives inf or nan entries, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        M *= std
+        G = np.matmul(M.T, M, out=_aligned_empty((n, n)))
+    if not np.isfinite(G).all():
+        raise NonFiniteValue(f"gram matrix overflows at std={std}")
     if normalize_to is not None:
         if not normalize_to > 0.0:
             raise InvalidInput(f"normalize_to must be > 0, got {normalize_to}")
@@ -675,7 +678,7 @@ def blur_map(height: int, width: int) -> FixedPointMap:
     )
 
 
-def deblur_map(y, height: int, width: int, relax: float = 0.8) -> FixedPointMap:
+def deblur_map(y, height: int, width: int, relax: float) -> FixedPointMap:
     """Residual deblurring iteration for observations y = sigmoid(C x)."""
     return richardson_map(blur_map(height, width), y, relax)
 

@@ -14,11 +14,9 @@ import pytest
 
 from chebiter import (
     EigenRange,
-    StopCriteria,
     blur_map,
     build_ista,
     chebyshev_schedule,
-    constant_sor_schedule,
     deblur_map,
     estimate_eigen_range,
     gen_gram_matrix,
@@ -97,7 +95,7 @@ def deblur_study():
 
 
 def test_criterion_01_best_constant_factor():
-    sched = constant_sor_schedule(EigenRange(0.6766, 1.922))
+    sched = chebyshev_schedule(EigenRange(0.6766, 1.922), 1)
     w = sched.factors[0]
     ok = abs(w - 0.7697) <= 1e-4
     _report(1, ok, f"best constant factor {w:.8f} within 1e-4 of 0.7697")
@@ -252,18 +250,18 @@ def test_criterion_09_packaged_maps_contract():
     ranges["tanh-gram"] = estimate_eigen_range(tanh_affine_map(A), np.zeros(128))
 
     pm = power_map()
-    pilot = run_inertial(pm, plain_schedule(), np.array([2.0, 2.0]), StopCriteria(60), np.zeros(2))
+    pilot = run_inertial(pm, plain_schedule(), np.array([2.0, 2.0]), np.zeros(2), 60)
     ranges["power"] = estimate_eigen_range(pm, pilot.x_final)
 
     tm = tanh_equation_map(np.array([0.1, 0.6]))
     coarse = EigenRange(1.0, 2.0 - 1e-6)
-    pilot = run_inertial(tm, chebyshev_schedule(coarse, 8), np.zeros(2), StopCriteria(40), np.zeros(2))
+    pilot = run_inertial(tm, chebyshev_schedule(coarse, 8), np.zeros(2), np.zeros(2), 40)
     ranges["tanh-solve"] = estimate_eigen_range(tm, pilot.x_final)
 
     sp = gen_sparse_instance(256, 128, 0.1, 0.1, 0)
     prob = build_ista(sp)
     pilot = run_inertial(
-        prob.fpmap, plain_schedule(), np.zeros(256), StopCriteria(1500), x_ref=sp.x_true
+        prob.fpmap, plain_schedule(), np.zeros(256), sp.x_true, 1500
     )
     ranges["ista"] = estimate_eigen_range(prob.fpmap, pilot.x_final, fp_tol=1e-3)
 
@@ -271,7 +269,7 @@ def test_criterion_09_packaged_maps_contract():
     for seed in range(3):
         x_true = gen_synthetic_image(28, 28, seed).ravel()
         y = np.asarray(forward.eval(x_true))
-        ranges[f"deblur-{seed}"] = estimate_eigen_range(deblur_map(y, 28, 28), x_true)
+        ranges[f"deblur-{seed}"] = estimate_eigen_range(deblur_map(y, 28, 28, 0.8), x_true)
 
     elapsed = time.monotonic() - t0
     inside = all(0.0 < r.a and r.b < 2.0 for r in ranges.values())
@@ -324,7 +322,7 @@ def test_criterion_11_infrastructure(tmp_path):
         (power_map(), np.array([2.9, 2.9])),
         (jacobi_map(gen_jacobi_instance(16, 4).P, np.zeros(16)), rng.normal(size=16)),
         (blur_map(12, 12), img.ravel()),
-        (deblur_map(y12, 12, 12), img.ravel() + 0.01 * rng.normal(size=144)),
+        (deblur_map(y12, 12, 12, 0.8), img.ravel() + 0.01 * rng.normal(size=144)),
         (build_ista(sp).fpmap, rng.normal(size=32) * 0.5),
     ]
     fd_worst = 0.0

@@ -13,11 +13,9 @@ from chebiter import (
     InvalidInput,
     InvalidRange,
     NonFiniteValue,
-    StopCriteria,
     StopReason,
     chebyshev_roots,
     chebyshev_schedule,
-    constant_sor_schedule,
     core,
     inertial_step,
     plain_schedule,
@@ -146,29 +144,31 @@ class TestChebyshevSchedule:
         for _ in range(1000):
             a = rng.uniform(1e-4, 1.0)
             b = a + rng.uniform(1e-4, 1.99 - a)
-            r = EigenRange(a, b)
-            w_cheb = chebyshev_schedule(r, 1).factors[0]
-            w_sor = constant_sor_schedule(r).factors[0]
-            assert w_cheb == w_sor
+            assert chebyshev_schedule(EigenRange(a, b), 1).factors[0] == 2.0 / (a + b)
+        # and on ranges spread over many decades, a down to 1e-8
+        for _ in range(1000):
+            a = 10.0 ** rng.uniform(-8.0, 0.0)
+            b = a + 10.0 ** rng.uniform(-8.0, 1.0)
+            assert chebyshev_schedule(EigenRange(a, b), 1).factors[0] == 2.0 / (a + b)
 
     def test_requires_positive_lower_endpoint(self):
         with pytest.raises(InvalidRange):
             chebyshev_schedule(EigenRange(0.0, 0.9), 4)
 
+    def test_overflowing_factors_raise_typed_error(self):
+        # 1 / 1e-320 overflows; the schedule's finite check reports it,
+        # with no numpy warning first (the suite turns those into errors).
+        with pytest.raises(NonFiniteValue):
+            chebyshev_schedule(EigenRange(1e-320, 1e-320), 8)
+
 
 class TestConstantSor:
+    """The best constant factor 2 / (a + b), built as the period-1 schedule."""
+
     def test_reference_value(self):
         # 2 / (0.6766 + 1.922), checked against 40-digit arithmetic.
-        s = constant_sor_schedule(EigenRange(0.6766, 1.922))
+        s = chebyshev_schedule(EigenRange(0.6766, 1.922), 1)
         assert s.factors[0] == 0.76964519356576618
-
-    def test_accepts_negative_a_when_sum_positive(self):
-        s = constant_sor_schedule(EigenRange(-0.5, 1.5))
-        assert s.factors[0] == 2.0
-
-    def test_rejects_nonpositive_sum(self):
-        with pytest.raises(InvalidRange):
-            constant_sor_schedule(EigenRange(-1.0, 1.0))
 
 
 class TestFixedPointMap:
@@ -336,11 +336,11 @@ class TestInertialStepBits:
             assert overflowed > 0
 
 
-def loop_errors(fpmap, schedule, x0, stop, ref):
+def loop_errors(fpmap, schedule, x0, ref, max_iters, error_target=None):
     """Errors of an independent relaxed loop, each by np.linalg.norm."""
     x = np.array(x0, dtype=float)
     errors = [np.linalg.norm(x - ref)]
-    for k in range(stop.max_iters):
+    for k in range(max_iters):
         w = schedule.factors[k % schedule.period]
         fx = fpmap(x)
         y = fx if w == 1.0 else oracle_step(x, fx, w)
@@ -350,7 +350,7 @@ def loop_errors(fpmap, schedule, x0, stop, ref):
         step, x = np.linalg.norm(y - x), y
         if step == 0.0:
             return errors, StopReason.TOLERANCE
-        if stop.error_target is not None and errors[-1] <= stop.error_target:
+        if error_target is not None and errors[-1] <= error_target:
             return errors, StopReason.TARGET
     return errors, StopReason.MAX_ITERS
 
@@ -385,23 +385,21 @@ class TestRunInertialBits:
         fpmap = affine_map(A, b)
         x0 = rng.normal(size=self.N) * 3.0
         if scenario == "divergence":
-            stop = StopCriteria(max_iters=200)
-            return fpmap, plain_schedule(), x0, stop, ref, StopReason.DIVERGENCE
+            return fpmap, plain_schedule(), x0, ref, (200,), StopReason.DIVERGENCE
         schedule = chebyshev_schedule(EigenRange(0.3, 0.9), 4)
         if scenario == "target":
             target = 1e-9 * float(np.linalg.norm(x0 - ref))
-            stop = StopCriteria(max_iters=200, error_target=target)
-            return fpmap, schedule, x0, stop, ref, StopReason.TARGET
-        return fpmap, schedule, x0, StopCriteria(max_iters=30), ref, StopReason.MAX_ITERS
+            return fpmap, schedule, x0, ref, (200, target), StopReason.TARGET
+        return fpmap, schedule, x0, ref, (30,), StopReason.MAX_ITERS
 
     @pytest.mark.parametrize("ref_kind", sorted(REFS))
     @pytest.mark.parametrize("scenario", ["budget", "divergence", "target"])
     def test_errors_match_independent_loop(self, scenario, ref_kind):
-        fpmap, schedule, x0, stop, ref, reason = self.problem(scenario, ref_kind)
-        want, want_reason = loop_errors(fpmap, schedule, x0, stop, ref)
-        tr = run_inertial(fpmap, schedule, x0, stop, x_ref=ref)
+        fpmap, schedule, x0, ref, stop, reason = self.problem(scenario, ref_kind)
+        want, want_reason = loop_errors(fpmap, schedule, x0, ref, *stop)
+        tr = run_inertial(fpmap, schedule, x0, ref, *stop)
         assert want_reason is tr.stop_reason is reason
-        assert 1 < tr.steps < stop.max_iters or reason is StopReason.MAX_ITERS
+        assert 1 < tr.steps < stop[0] or reason is StopReason.MAX_ITERS
         assert tr.errors.tobytes() == np.array(want).tobytes()
 
 
@@ -421,14 +419,14 @@ class TestRunInertial:
             manual.append(x.copy())
 
         for k in range(1, 26):
-            tr = run_inertial(m, ones, x0, StopCriteria(max_iters=k), x_ref=np.zeros(6))
+            tr = run_inertial(m, ones, x0, np.zeros(6), k)
             assert tr.steps == k
             assert np.array_equal(tr.x_final, manual[k])
 
     def test_identity_map_stops_after_one_step(self):
         m = FixedPointMap(dim=2, eval=lambda x: x.copy())
         x0 = np.array([1.0, -2.0])
-        tr = run_inertial(m, plain_schedule(), x0, StopCriteria(max_iters=50), x_ref=x0)
+        tr = run_inertial(m, plain_schedule(), x0, x0, 50)
         assert tr.steps == 1
         assert tr.stop_reason is StopReason.TOLERANCE
         assert np.array_equal(tr.x_final, x0)
@@ -441,7 +439,7 @@ class TestRunInertial:
         x_star = np.linalg.solve(np.eye(3) - A, b)
         m = affine_map(A, b)
         sched = chebyshev_schedule(EigenRange(0.3, 0.7), 4)
-        tr = run_inertial(m, sched, np.zeros(3), StopCriteria(max_iters=40), x_ref=x_star)
+        tr = run_inertial(m, sched, np.zeros(3), x_star, 40)
         assert len(tr.errors) == tr.steps + 1
         assert tr.errors[-1] < 1e-12 * max(1.0, tr.errors[0])
         # the run also stops once the iterate is exactly stationary
@@ -455,18 +453,12 @@ class TestRunInertial:
     def test_factors_used_follow_schedule(self):
         m = affine_map(np.eye(2) * 0.5, np.zeros(2))
         sched = InertialSchedule(period=3, factors=(1.0, 1.5, 0.5))
-        tr = run_inertial(m, sched, np.ones(2), StopCriteria(max_iters=7), x_ref=np.zeros(2))
+        tr = run_inertial(m, sched, np.ones(2), np.zeros(2), 7)
         assert tr.factors_used.tolist() == [1.0, 1.5, 0.5, 1.0, 1.5, 0.5, 1.0]
 
     def test_divergence_by_threshold_drops_offending_step(self):
         m = affine_map(np.eye(1) * 3.0, np.zeros(1))
-        tr = run_inertial(
-            m,
-            plain_schedule(),
-            np.ones(1),
-            StopCriteria(max_iters=200),
-            x_ref=np.zeros(1),
-        )
+        tr = run_inertial(m, plain_schedule(), np.ones(1), np.zeros(1), 200)
         assert tr.stop_reason is StopReason.DIVERGENCE
         assert tr.steps < 200
         assert np.all(np.isfinite(tr.errors))
@@ -481,13 +473,7 @@ class TestRunInertial:
             return x * 1e200
 
         m = FixedPointMap(dim=1, eval=blow_up)
-        tr = run_inertial(
-            m,
-            plain_schedule(),
-            np.ones(1),
-            StopCriteria(max_iters=10),
-            x_ref=np.zeros(1),
-        )
+        tr = run_inertial(m, plain_schedule(), np.ones(1), np.zeros(1), 10)
         assert tr.stop_reason is StopReason.DIVERGENCE
         assert tr.steps == 0
         assert np.all(np.isfinite(tr.errors))
@@ -496,17 +482,9 @@ class TestRunInertial:
     def test_nonfinite_inputs_rejected(self):
         m = affine_map(np.eye(1) * 0.5, np.zeros(1))
         with pytest.raises(NonFiniteValue):
-            run_inertial(
-                m, plain_schedule(), np.array([np.nan]), StopCriteria(max_iters=5), np.zeros(1)
-            )
+            run_inertial(m, plain_schedule(), np.array([np.nan]), np.zeros(1), 5)
         with pytest.raises(NonFiniteValue):
-            run_inertial(
-                m,
-                plain_schedule(),
-                np.ones(1),
-                StopCriteria(max_iters=5),
-                x_ref=np.array([np.inf]),
-            )
+            run_inertial(m, plain_schedule(), np.ones(1), np.array([np.inf]), 5)
 
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(2)
@@ -515,23 +493,21 @@ class TestRunInertial:
         sched = chebyshev_schedule(EigenRange(0.5, 1.5), 8)
         x0 = rng.normal(size=4)
         for ref in (np.zeros(4), rng.normal(size=4)):
-            t1 = run_inertial(m, sched, x0, StopCriteria(max_iters=64), x_ref=ref)
+            t1 = run_inertial(m, sched, x0, ref, 64)
             first = t1.x_final.tobytes()
-            t2 = run_inertial(m, sched, x0, StopCriteria(max_iters=64), x_ref=ref)
+            t2 = run_inertial(m, sched, x0, ref, 64)
             assert np.array_equal(t1.errors, t2.errors)
             assert np.array_equal(t1.x_final, t2.x_final)
             # no array the runner writes into is handed out as x_final:
             # another run on the same map leaves the first one's bytes alone
-            run_inertial(m, sched, -x0, StopCriteria(max_iters=9), x_ref=ref)
+            run_inertial(m, sched, -x0, ref, 9)
             assert t1.x_final.tobytes() == first
 
     def test_step_tolerance_stop(self):
         # x <- x/2 + 1 from 0 lands on 2.0 exactly in floating point, and
         # the next step, which leaves it unchanged, ends the run.
         m = affine_map(np.eye(1) * 0.5, np.array([1.0]))
-        tr = run_inertial(
-            m, plain_schedule(), np.zeros(1), StopCriteria(max_iters=500), x_ref=np.full(1, 2.0)
-        )
+        tr = run_inertial(m, plain_schedule(), np.zeros(1), np.full(1, 2.0), 500)
         assert tr.stop_reason is StopReason.TOLERANCE
         assert tr.steps < 60
         assert tr.errors[-2:].tolist() == [0.0, 0.0]
@@ -542,48 +518,52 @@ class TestRunInertial:
         x_star = np.linalg.solve(np.eye(3) - A, b)
         m = affine_map(A, b)
         sched = chebyshev_schedule(EigenRange(0.3, 0.7), 4)
-        full = run_inertial(m, sched, np.zeros(3), StopCriteria(max_iters=40), x_ref=x_star)
+        full = run_inertial(m, sched, np.zeros(3), x_star, 40)
         target = float(full.errors[9])
         hit = int(np.nonzero(full.errors <= target)[0][0])
-        tr = run_inertial(
-            m, sched, np.zeros(3), StopCriteria(max_iters=40, error_target=target), x_ref=x_star
-        )
+        tr = run_inertial(m, sched, np.zeros(3), x_star, 40, error_target=target)
         assert tr.stop_reason is StopReason.TARGET
         assert tr.steps == hit
         assert len(tr.errors) == tr.steps + 1
         assert np.array_equal(tr.errors, full.errors[: hit + 1])
-        cut = run_inertial(m, sched, np.zeros(3), StopCriteria(max_iters=hit), x_ref=x_star)
+        cut = run_inertial(m, sched, np.zeros(3), x_star, hit)
         assert np.array_equal(tr.x_final, cut.x_final)
 
     def test_unreached_error_target_runs_full_budget(self):
         m = affine_map(np.eye(2) * 0.5, np.zeros(2))
-        tr = run_inertial(
-            m,
-            plain_schedule(),
-            np.ones(2),
-            StopCriteria(max_iters=20, error_target=1e-12),
-            x_ref=np.zeros(2),
-        )
+        tr = run_inertial(m, plain_schedule(), np.ones(2), np.zeros(2), 20, error_target=1e-12)
         assert tr.stop_reason is StopReason.MAX_ITERS
         assert tr.steps == 20
         assert tr.errors[-1] > 1e-12
 
     def test_stop_criteria_validation(self):
-        with pytest.raises(InvalidInput):
-            StopCriteria(max_iters=0)
+        # x <- x/2 from (1, 1): the error after step k is sqrt(2) / 2^k, so
+        # a target of t stops the run at the first k with that at most t.
+        m = affine_map(np.eye(2) * 0.5, np.zeros(2))
+
+        def run(max_iters, error_target=None):
+            x0, ref = np.ones(2), np.zeros(2)
+            return run_inertial(m, plain_schedule(), x0, ref, max_iters, error_target)
+
+        with pytest.raises(InvalidInput, match="max_iters must be >= 1, got 0"):
+            run(0)
         for bad in (-1e-9, math.nan, math.inf):
-            with pytest.raises(InvalidInput):
-                StopCriteria(max_iters=5, error_target=bad)
-        assert StopCriteria(max_iters=5, error_target=0.0).error_target == 0.0
+            with pytest.raises(InvalidInput, match="error_target must be finite and >= 0"):
+                run(5, bad)
+        tr = run(5, 0.0)
+        assert tr.stop_reason is StopReason.MAX_ITERS and tr.steps == 5
         for bad in (True, np.bool_(True), "0.1", b"0.1", 1j):
             with pytest.raises(InvalidInput, match="real number"):
-                StopCriteria(max_iters=5, error_target=bad)
-        for good in (0, np.int64(2), np.float32(0.25)):
-            target = StopCriteria(max_iters=5, error_target=good).error_target
-            assert target == float(good) and type(target) is float
-        assert StopCriteria(max_iters=5).error_target is None
+                run(5, bad)
+        for good, steps in ((0, 5), (np.int64(2), 1), (np.float32(0.25), 3)):
+            tr = run(5, good)
+            assert tr.steps == steps
+            assert tr.stop_reason is (StopReason.TARGET if steps < 5 else StopReason.MAX_ITERS)
+        assert run(5).stop_reason is StopReason.MAX_ITERS
         for bad in (5.0, 5.7, "5", True):
-            with pytest.raises(InvalidInput):
-                StopCriteria(max_iters=bad)
-        stop = StopCriteria(max_iters=np.int64(5))
-        assert stop.max_iters == 5 and type(stop.max_iters) is int
+            with pytest.raises(InvalidInput, match="max_iters must be an integer"):
+                run(bad)
+        assert run(np.int64(5)).steps == 5
+        # the stop arguments are checked before the vectors
+        with pytest.raises(InvalidInput):
+            run_inertial(m, plain_schedule(), [np.nan, 0.0], np.zeros(2), 0)

@@ -22,7 +22,7 @@ import chebiter.experiments
 import chebiter.problems
 from chebiter import cli
 from chebiter.cli import EX_CONFIG, EX_IOERR, EX_OK, EX_USAGE, main
-from chebiter.core import FixedPointMap, StopCriteria, plain_schedule, run_inertial
+from chebiter.core import FixedPointMap, plain_schedule, run_inertial
 from chebiter.errors import InvalidInput, InvalidRange
 from chebiter.experiments import (
     bounds_rows,
@@ -345,6 +345,24 @@ class TestCliExitCodes:
     def test_toy_has_no_zero_default_sentinel(self, flags, capsys):
         assert main(["toy", *flags]) == EX_USAGE
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["toy", "--map", "gram", "--std", "inf"], "std must be finite and > 0"),
+            (["toy", "--map", "gram", "--std", "1e200"], "gram matrix overflows"),
+            (["ista", "--noise", "inf", "--seeds", "1"], "noise_sigma must be finite and >= 0"),
+            (["deblur", "--range-a", "1e-320", "--range-b", "1e-320"], "factors must be finite"),
+            (["bounds", "--a", "1e-320", "--b", "1e-320"], "factors must be finite"),
+        ],
+    )
+    def test_overflowing_inputs(self, argv, message, tmp_path, capsys):
+        # a typed error and exit 64: no numpy warning (an error in this
+        # suite), no traceback and no file written
+        assert main(argv + ["--out", str(tmp_path)]) == EX_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
     def test_toy_zero_iters_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "t.cfg"
         cfg.write_text("iters = 0\n")
@@ -476,11 +494,11 @@ CLI_FLAGS = {
 }
 
 PACKAGE_NAMES = """
-    EigenRange FixedPointMap InertialSchedule IterationTrace StopCriteria StopReason
-    chebyshev_roots chebyshev_schedule constant_sor_schedule inertial_step plain_schedule
+    EigenRange FixedPointMap InertialSchedule IterationTrace StopReason
+    chebyshev_roots chebyshev_schedule inertial_step plain_schedule
     run_inertial estimate_eigen_range jacobian_fd per_step_rate per_step_rate_limit
     period_contraction_bound period_polynomial period_spectral_radius
-    real_spectrum_via_similarity symmetric_eigenvalues FistaResult JacobiInstance
+    real_spectrum_via_similarity symmetric_eigenvalues JacobiInstance
     ProximalProblem SparseRecoveryInstance blur_map build_ista deblur_map
     fista_momentum fista_run gen_gram_matrix gen_jacobi_instance gen_sparse_instance
     gen_synthetic_image jacobi_map power_map richardson_map sigmoid smooth_soft_shrink
@@ -515,7 +533,7 @@ class TestSurface:
         assert set(settings) == {k.replace("-", "_") for k in CLI_FLAGS[command]}
 
     def test_package_exports(self):
-        assert len(PACKAGE_NAMES) == 71
+        assert len(PACKAGE_NAMES) == 68
         assert sorted(chebiter.__all__) == sorted(PACKAGE_NAMES)
         for name in PACKAGE_NAMES:
             assert hasattr(chebiter, name), name
@@ -530,7 +548,7 @@ class TestSurface:
                 count += len(dataclasses.fields(obj))
             elif inspect.isfunction(obj):
                 count += len(inspect.signature(obj).parameters)
-        assert count == 159
+        assert count == 153
 
     def test_wrapped_step_sees_every_attempt(self, monkeypatch):
         # A benchmark tracer replaces core.inertial_step to count attempted
@@ -546,11 +564,11 @@ class TestSurface:
         monkeypatch.setattr(chebiter.core, "inertial_step", counted)
         grow = FixedPointMap(dim=1, eval=lambda x: 3.0 * x)
         # 3^25 is below the divergence norm 1e12 and 3^26 above it
-        tr = run_inertial(grow, plain_schedule(), [1.0], StopCriteria(max_iters=50), [0.0])
+        tr = run_inertial(grow, plain_schedule(), [1.0], [0.0], 50)
         assert tr.steps == 25
         assert len(calls) == tr.steps + 1
         calls.clear()
-        tr = run_inertial(grow, plain_schedule(), [1.0], StopCriteria(max_iters=5), [0.0])
+        tr = run_inertial(grow, plain_schedule(), [1.0], [0.0], 5)
         assert len(calls) == tr.steps == 5
 
     def test_wrapped_drivers_get_the_flags(self, monkeypatch, capsys):

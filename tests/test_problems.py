@@ -13,12 +13,12 @@ from chebiter import (
     DimensionError,
     EigenRange,
     InvalidInput,
+    IterationTrace,
     NonFiniteValue,
     NotConverged,
     ProximalProblem,
     SingularDiagonal,
     SparseRecoveryInstance,
-    StopCriteria,
     StopReason,
     blur_map,
     build_ista,
@@ -209,7 +209,7 @@ class TestShrinkageBitIdentity:
         inst = gen_sparse_instance(256, 128, 0.1, 0.1, seed=0)
         prob = build_ista(inst)
         iterate = run_inertial(
-            prob.fpmap, plain_schedule(), np.zeros(256), StopCriteria(max_iters=40), inst.x_true
+            prob.fpmap, plain_schedule(), np.zeros(256), inst.x_true, 40
         ).x_final
         # with M = I, u = A 0 + b = gamma y, so y = +-1 puts u on +-tau exactly
         y = np.array([1.0, -1.0, 0.5, 0.0, 2.0])
@@ -245,10 +245,17 @@ class TestShrinkageParameters:
                 smooth_soft_shrink_grad(np.ones(3), 0.1, beta=beta)
 
     def test_gram_generator_rejects_nan_std(self):
-        with pytest.raises(InvalidInput):
-            gen_gram_matrix(8, np.nan, seed=0)
+        for std in (np.nan, np.inf, 0.0, -0.1):
+            with pytest.raises(InvalidInput, match="std must be finite and > 0"):
+                gen_gram_matrix(8, std, seed=0)
         with pytest.raises(InvalidInput):
             gen_gram_matrix(8, 0.1, seed=0, normalize_to=np.nan)
+        # a finite std whose Gram overflows is refused before eigvalsh, with
+        # no numpy warning (the suite turns those into errors)
+        for std in (1e200, 1e308):
+            for normalize_to in (None, 0.97):
+                with pytest.raises(NonFiniteValue, match="gram matrix overflows"):
+                    gen_gram_matrix(8, std, seed=0, normalize_to=normalize_to)
 
     def test_infinite_sharpness_is_refused(self):
         for call in (
@@ -274,7 +281,9 @@ class TestNormsMatchLinalg:
             z = x_next + ((t - 1.0) / t_next) * (x_next - x)
             x, t = x_next, t_next
             errors.append(float(np.linalg.norm(x - inst.x_true)))
-        assert fista_run(problem, 60).errors.tobytes() == np.asarray(errors).tobytes()
+        res = fista_run(problem, 60)
+        assert res.errors.tobytes() == np.asarray(errors).tobytes()
+        assert res.x_final.tobytes() == x.tobytes()
 
 
 class TestSeededStreams:
@@ -346,6 +355,7 @@ class TestIntegerArguments:
                 fista_run(prob, bad)
         res = fista_run(prob, np.int64(2))
         assert res.steps == 2 and type(res.steps) is int and len(res.errors) == 3
+        assert res.factors_used.tolist() == [1.0, 1.0]
 
 
 class TestSparseInstances:
@@ -373,10 +383,9 @@ class TestSparseInstances:
             gen_sparse_instance(0, 4, 0.1, 0.1, seed=0)
         with pytest.raises(InvalidInput):
             gen_sparse_instance(8, 4, 1.5, 0.1, seed=0)
-        with pytest.raises(InvalidInput):
-            gen_sparse_instance(8, 4, 0.1, -0.1, seed=0)
-        with pytest.raises(InvalidInput):
-            gen_sparse_instance(8, 4, 0.1, np.nan, seed=0)
+        for noise in (-0.1, np.nan, np.inf):
+            with pytest.raises(InvalidInput, match="noise_sigma must be finite and >= 0"):
+                gen_sparse_instance(8, 4, 0.1, noise, seed=0)
         with pytest.raises(DimensionError):
             SparseRecoveryInstance(M=np.eye(3), y=np.zeros(2), x_true=np.zeros(3))
 
@@ -394,7 +403,7 @@ class TestBuildIsta:
         x_star = prob.fpmap(np.zeros(4))
         assert x_star == pytest.approx([1.0, -1.0, 0.0, 0.0], abs=2e-2)
         tr = run_inertial(
-            prob.fpmap, plain_schedule(), np.zeros(4), StopCriteria(max_iters=5), x_star
+            prob.fpmap, plain_schedule(), np.zeros(4), x_star, 5
         )
         assert tr.stop_reason is StopReason.TOLERANCE
 
@@ -428,7 +437,7 @@ class TestBuildIsta:
         inst = gen_sparse_instance(32, 16, 0.1, 0.05, seed=11)
         prob = build_ista(inst)
         tr = run_inertial(
-            prob.fpmap, plain_schedule(), np.zeros(32), StopCriteria(max_iters=800), np.zeros(32)
+            prob.fpmap, plain_schedule(), np.zeros(32), np.zeros(32), 800
         )
         x = tr.x_final
         assert np.linalg.norm(prob.fpmap(x) - x) <= 1e-8 * (1 + np.linalg.norm(x))
@@ -495,10 +504,9 @@ class TestOperandLayout:
             inst = gen_sparse_instance(256, 128, 0.1, 0.1, seed=0)
             prob = build_ista(inst)
             x0 = np.zeros(inst.n)
-            stop = StopCriteria(max_iters=300)
             sched = chebyshev_schedule(EigenRange(0.007, 1.0), 8)
             runs = [
-                run_inertial(prob.fpmap, s, x0, stop, inst.x_true) for s in (plain_schedule(), sched)
+                run_inertial(prob.fpmap, s, x0, inst.x_true, 300) for s in (plain_schedule(), sched)
             ]
             fista = fista_run(prob, 100)
             offsets = (inst.M.ctypes.data % 64, prob.A.ctypes.data % 64)
@@ -525,6 +533,11 @@ class TestFista:
         assert len(res.errors) == 101
         assert res.errors[-1] < 0.25 * res.errors[0]
         assert res.steps == 100
+        # recorded like a run_inertial run: a unit factor per step, and the
+        # full budget as the stop reason
+        assert isinstance(res, IterationTrace)
+        assert res.factors_used.tobytes() == np.full(100, 1.0).tobytes()
+        assert res.stop_reason is StopReason.MAX_ITERS
 
     def test_validation(self):
         inst = gen_sparse_instance(16, 8, 0.1, 0.1, seed=0)
@@ -875,7 +888,7 @@ class TestBlur:
         forward = blur_map(40, 40)
         with pytest.raises(InvalidInput):
             forward.jacobian(img)
-        r = estimate_eigen_range(deblur_map(forward(img), 40, 40), img)
+        r = estimate_eigen_range(deblur_map(forward(img), 40, 40, 0.8), img)
         assert 0.0 < r.a < r.b < 1.0
         with pytest.raises(InvalidInput):
             blur_map(0, 5)
@@ -896,7 +909,7 @@ class TestBlur:
         assert forward.jacobian(x).tobytes() == J.tobytes()
         y = forward(np.random.default_rng(n + 1).uniform(0.0, 1.0, n))
         richardson = np.eye(n) - 0.8 * J
-        assert deblur_map(y, *shape).jacobian(x).tobytes() == richardson.tobytes()
+        assert deblur_map(y, *shape, 0.8).jacobian(x).tobytes() == richardson.tobytes()
 
     def test_deblur_fixed_point_and_spectrum_composition(self):
         img = gen_synthetic_image(12, 12, seed=3)
@@ -1049,8 +1062,7 @@ def _load_tracing():
 
 def _plain_fixed_point(fpmap):
     x0 = np.full(fpmap.dim, 0.5)
-    stop = StopCriteria(max_iters=800)
-    return run_inertial(fpmap, plain_schedule(), x0, stop, np.zeros(fpmap.dim)).x_final
+    return run_inertial(fpmap, plain_schedule(), x0, np.zeros(fpmap.dim), 800).x_final
 
 
 class TestTracedMaps:
@@ -1063,7 +1075,7 @@ class TestTracedMaps:
         cases = {  # builder -> (arguments, fixed point or None to iterate to one)
             "build_ista": ((gen_sparse_instance(32, 16, 0.1, 0.05, seed=11),), None),
             "blur_map": ((12, 12), None),
-            "deblur_map": ((y12, 12, 12), img.ravel()),
+            "deblur_map": ((y12, 12, 12, 0.8), img.ravel()),
             "jacobi_map": ((gen_jacobi_instance(16, 4).P, np.zeros(16)), np.zeros(16)),
             "power_map": ((), np.full(2, POWER_FP)),
             "tanh_affine_map": ((gen_gram_matrix(16, 0.1, 2),), np.zeros(16)),
@@ -1123,8 +1135,7 @@ class TestTracedMaps:
         # the tanh study's pilot is a Chebyshev run, ahead of its cheb8 run
         fpmap = tanh_equation_map(np.array([0.1, 0.6]))
         coarse = chebyshev_schedule(EigenRange(1.0, 2.0 - 1e-6), 8)
-        stop = StopCriteria(max_iters=40)
-        pilot = run_inertial(fpmap, coarse, np.zeros(2), stop, np.zeros(2))
+        pilot = run_inertial(fpmap, coarse, np.zeros(2), np.zeros(2), 40)
         assert tracer.cheb_steps[before:][0] == pilot.steps > 0
         assert len(tracer.cheb_steps) == before + 2
         # uninstall put every attribute back

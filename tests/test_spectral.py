@@ -17,7 +17,6 @@ from chebiter import (
     NotConverged,
     NotSymmetric,
     SpectrumNotCertifiedReal,
-    StopCriteria,
     StopReason,
     bounds_rows,
     chebyshev_roots,
@@ -572,8 +571,7 @@ class TestNonContractingMap:
             jacobian_spectrum=lambda x: -2.0 / np.cosh(x) ** 2,
         )
         x0 = np.zeros(3)
-        stop = StopCriteria(max_iters=64)
-        pilot = run_inertial(fpmap, chebyshev_schedule(EigenRange(1.0, 3.0), 8), x0, stop, x0)
+        pilot = run_inertial(fpmap, chebyshev_schedule(EigenRange(1.0, 3.0), 8), x0, x0, 64)
         x_star = pilot.x_final
         assert pilot.stop_reason is StopReason.TOLERANCE and pilot.steps <= 32
         assert np.linalg.norm(fpmap(x_star) - x_star) < 1e-15
@@ -581,9 +579,9 @@ class TestNonContractingMap:
         rng = estimate_eigen_range(fpmap, x_star).clipped()
         assert 2.5 < rng.a < rng.b and 2.99 < rng.b < 3.0
 
-        cheb = run_inertial(fpmap, chebyshev_schedule(rng, 8), x0, stop, x_ref=x_star)
+        cheb = run_inertial(fpmap, chebyshev_schedule(rng, 8), x0, x_star, 64)
         assert cheb.stop_reason is StopReason.TOLERANCE and cheb.steps < 64
         assert cheb.errors[8] / cheb.errors[0] <= period_contraction_bound(rng, 8)
 
-        plain = run_inertial(fpmap, plain_schedule(), x0, stop, x_ref=x_star)
+        plain = run_inertial(fpmap, plain_schedule(), x0, x_star, 64)
         assert plain.steps == 64 and plain.errors[-1] > 1.0
