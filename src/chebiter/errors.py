@@ -41,7 +41,7 @@ class NotAFixedPoint(ChebiterError, ValueError):
 
 
 class NotConverged(ChebiterError, ArithmeticError):
-    """An iterative eigensolver reached its step cap before its stopping rule held."""
+    """An iteration stopped short: an eigensolver at its step cap, or a needed run diverged."""
 
 
 class InvalidInput(ChebiterError, ValueError):

@@ -1,7 +1,8 @@
 """Reference experiments: each driver builds a seeded problem instance,
 runs the plain, best-constant, and Chebyshev-scheduled iterations on it,
 and writes error traces plus a summary table (and images, for the
-deblurring study) into an output directory.
+deblurring study) into an output directory. The Jacobi and toy-map
+studies, one instance each, share one comparison path, _compare.
 
 Defaults are the desk-scale study settings; rerunning a driver with the
 same arguments reproduces its output files byte for byte.
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .core import (
     plain_schedule,
     run_inertial,
 )
-from .errors import InvalidInput
+from .errors import InvalidInput, NotConverged
 from .problems import (
     build_ista,
     deblur_map,
@@ -94,6 +95,11 @@ def _iters_to(errors: np.ndarray, threshold: float) -> int:
     return int(hits[0]) if hits.size else -1
 
 
+def _warn_if_diverged(result: ExperimentResult, run_id: str, trace) -> None:
+    if trace.stop_reason is StopReason.DIVERGENCE:
+        result.warnings.append(f"{result.name}: run {run_id} diverged after {trace.steps} steps")
+
+
 def _run_solvers(
     fpmap: FixedPointMap,
     schedules: Dict[str, InertialSchedule],
@@ -106,27 +112,32 @@ def _run_solvers(
     """Run each named schedule, append trace records, return the traces."""
     traces = {}
     for solver, sched in schedules.items():
+        run_id = f"{run_prefix}{solver}"
         tr = run_inertial(fpmap, sched, x0, x_ref, iters)
-        if tr.stop_reason is StopReason.DIVERGENCE:
-            result.warnings.append(
-                f"{result.name}: run {run_prefix}{solver} diverged after {tr.steps} steps"
-            )
-        result.records.append(
-            TraceRecord(
-                run_id=f"{run_prefix}{solver}",
-                solver=solver,
-                errors=tr.errors,
-                omegas=tr.factors_used,
-            )
-        )
+        _warn_if_diverged(result, run_id, tr)
+        result.records.append(TraceRecord(run_id, solver, tr.errors, tr.factors_used))
         traces[solver] = tr
     return traces
 
 
-def _standard_schedules(rng: EigenRange, periods: Sequence[int]) -> Dict[str, InertialSchedule]:
-    """plain, the best constant factor, and one Chebyshev schedule per
-    requested period above one. The best constant factor 2 / (a + b) is
-    the period-1 Chebyshev schedule, named sor."""
+def _compare(
+    result: ExperimentResult,
+    fpmap: FixedPointMap,
+    x0: np.ndarray,
+    x_star: np.ndarray,
+    periods: Sequence[int],
+    iters: int,
+    bounds: Sequence[str] = (),
+    threshold: Optional[float] = None,
+):
+    """Measure the clipped range at x_star, run plain, sor (the best
+    constant factor, the period-1 Chebyshev schedule) if 1 is among the
+    periods and cheb<T> for each period T above one from x0, and append
+    their summary rows; return the range and the traces by solver. A row
+    has the bound columns the study names and, with a threshold,
+    iters_to_threshold and threshold; plain's range and bounds are blank.
+    """
+    rng = estimate_eigen_range(fpmap, x_star).clipped()
     schedules: Dict[str, InertialSchedule] = {"plain": plain_schedule()}
     if 1 in periods:
         schedules["sor"] = chebyshev_schedule(rng, 1)
@@ -135,7 +146,27 @@ def _standard_schedules(rng: EigenRange, periods: Sequence[int]) -> Dict[str, In
             raise InvalidInput(f"period must be >= 1, got {T}")
         if T > 1:
             schedules[f"cheb{T}"] = chebyshev_schedule(rng, T)
-    return schedules
+    traces = _run_solvers(fpmap, schedules, x0, iters, x_star, result)
+    unnamed = {"period_bound", "per_step", "limit"}.difference(bounds)
+    for solver, tr in traces.items():
+        T = schedules[solver].period
+        sched_rng = schedules[solver].range
+        scheduled = solver != "plain"
+        row = {
+            "solver": solver,
+            "period": T,
+            "range_a": sched_rng.a if sched_rng else "",
+            "range_b": sched_rng.b if sched_rng else "",
+            "period_bound": period_contraction_bound(rng, T) if scheduled else "",
+            "per_step": per_step_rate(rng, T) if scheduled else "",
+            "limit": per_step_rate_limit(rng),
+            "final_error": float(tr.errors[-1]),
+        }
+        if threshold is not None:
+            row["iters_to_threshold"] = _iters_to(tr.errors, threshold)
+            row["threshold"] = threshold
+        result.summary.append({k: v for k, v in row.items() if k not in unnamed})
+    return rng, traces
 
 
 def bounds_rows(
@@ -179,27 +210,9 @@ def run_jacobi(
     result = ExperimentResult("jacobi")
     inst = gen_jacobi_instance(n, seed)
     fpmap = jacobi_map(inst.P, inst.q)
-    x_star = np.zeros(n)
-    rng = estimate_eigen_range(fpmap, x_star).clipped()
-    schedules = _standard_schedules(rng, periods)
-    traces = _run_solvers(fpmap, schedules, inst.x0, iters, x_star, result)
     threshold = 1e-6 * float(np.linalg.norm(inst.x0))
-    for solver, tr in traces.items():
-        T = schedules[solver].period
-        sched_rng = schedules[solver].range
-        result.summary.append(
-            {
-                "solver": solver,
-                "period": T,
-                "range_a": sched_rng.a if sched_rng else "",
-                "range_b": sched_rng.b if sched_rng else "",
-                "period_bound": period_contraction_bound(rng, T) if solver != "plain" else "",
-                "per_step": per_step_rate(rng, T) if solver != "plain" else "",
-                "final_error": float(tr.errors[-1]),
-                "iters_to_threshold": _iters_to(tr.errors, threshold),
-                "threshold": threshold,
-            }
-        )
+    bounds = ("period_bound", "per_step")
+    rng, _ = _compare(result, fpmap, inst.x0, np.zeros(n), periods, iters, bounds, threshold)
     result.headline = {"range_a": rng.a, "range_b": rng.b}
     _emit(result, out_dir)
     return result
@@ -222,25 +235,7 @@ def run_toy_power(
     # Only the pilot's x_final is read; against the origin its errors come free.
     pilot = run_inertial(fpmap, plain_schedule(), x0, np.zeros(2), 60)
     x_star = pilot.x_final
-    rng = estimate_eigen_range(fpmap, x_star).clipped()
-    schedules = _standard_schedules(rng, periods)
-    traces = _run_solvers(fpmap, schedules, x0, iters, x_star, result)
-    threshold = 1e-10
-    for solver, tr in traces.items():
-        T = schedules[solver].period
-        sched_rng = schedules[solver].range
-        result.summary.append(
-            {
-                "solver": solver,
-                "period": T,
-                "range_a": sched_rng.a if sched_rng else "",
-                "range_b": sched_rng.b if sched_rng else "",
-                "per_step": per_step_rate(rng, T) if solver != "plain" else "",
-                "final_error": float(tr.errors[-1]),
-                "iters_to_threshold": _iters_to(tr.errors, threshold),
-                "threshold": threshold,
-            }
-        )
+    rng, _ = _compare(result, fpmap, x0, x_star, periods, iters, ("per_step",), 1e-10)
     result.headline = {
         "fixed_point_1": float(x_star[0]),
         "fixed_point_2": float(x_star[1]),
@@ -277,20 +272,7 @@ def run_tanh_solve(
     # Only the pilot's x_final is read; against the origin its errors come free.
     pilot = run_inertial(fpmap, chebyshev_schedule(coarse, periods[0]), x0, np.zeros(2), 40)
     x_star = pilot.x_final
-    rng = estimate_eigen_range(fpmap, x_star).clipped()
-    schedules = _standard_schedules(rng, periods)
-    traces = _run_solvers(fpmap, schedules, x0, iters, x_star, result)
-    for solver, tr in traces.items():
-        sched_rng = schedules[solver].range
-        result.summary.append(
-            {
-                "solver": solver,
-                "period": schedules[solver].period,
-                "range_a": sched_rng.a if sched_rng else "",
-                "range_b": sched_rng.b if sched_rng else "",
-                "final_error": float(tr.errors[-1]),
-            }
-        )
+    rng, traces = _compare(result, fpmap, x0, x_star, periods, iters)
     result.headline = {
         "solution_1": float(x_star[0]),
         "solution_2": float(x_star[1]),
@@ -321,28 +303,13 @@ def run_tanh_gram(
     result = ExperimentResult("tanh_gram")
     A = gen_gram_matrix(n, std, seed, normalize_to=lam_max)
     fpmap = tanh_affine_map(A)
-    x_star = np.zeros(n)
-    rng = estimate_eigen_range(fpmap, x_star).clipped()
-    schedules = _standard_schedules(rng, tuple(periods) + (1,))
-    x0 = np.ones(n)
-    traces = _run_solvers(fpmap, schedules, x0, iters, x_star, result)
-    threshold = 1e-10
-    for solver, tr in traces.items():
-        T = schedules[solver].period
-        result.summary.append(
-            {
-                "solver": solver,
-                "period": T,
-                "range_a": rng.a,
-                "range_b": rng.b,
-                "period_bound": period_contraction_bound(rng, T) if solver != "plain" else "",
-                "per_step": per_step_rate(rng, T) if solver != "plain" else "",
-                "limit": per_step_rate_limit(rng),
-                "final_error": float(tr.errors[-1]),
-                "iters_to_threshold": _iters_to(tr.errors, threshold),
-                "threshold": threshold,
-            }
-        )
+    bounds = ("period_bound", "per_step", "limit")
+    rng, _ = _compare(
+        result, fpmap, np.ones(n), np.zeros(n), tuple(periods) + (1,), iters, bounds, 1e-10
+    )
+    # Unlike the other studies, this one writes the measured range on its
+    # plain row too.
+    result.summary[0]["range_a"], result.summary[0]["range_b"] = rng.a, rng.b
     result.headline = {"range_a": rng.a, "range_b": rng.b}
     _emit(result, out_dir)
     return result
@@ -391,6 +358,8 @@ def run_ista(
         prob = build_ista(inst)
         x0 = np.zeros(n)
         plain_tr = run_inertial(prob.fpmap, plain_schedule(), x0, inst.x_true, iters)
+        if plain_tr.stop_reason is StopReason.DIVERGENCE:
+            raise NotConverged(f"plain run of seed {seed} diverged after {plain_tr.steps} steps")
         target = float(plain_tr.errors[-1])
         rng = estimate_eigen_range(prob.fpmap, plain_tr.x_final, fp_tol=1e-3).clipped()
         sched = chebyshev_schedule(rng, period)
@@ -399,6 +368,7 @@ def run_ista(
         cheb_tr = run_inertial(
             prob.fpmap, sched, x0, inst.x_true, iters, None if seed < record_first else target
         )
+        _warn_if_diverged(result, f"seed{seed}/cheb{period}", cheb_tr)
         hit = _iters_to(cheb_tr.errors, target)
         hit_counts.append(hit if hit >= 0 else iters + 1)
         fista_tr = fista_run(prob, fista_iters)
@@ -494,10 +464,8 @@ def run_deblur(
         if seed == 0:
             result.images["truth"] = img
             result.images["observed"] = y.reshape(height, width)
-            result.images["plain"] = traces["plain"].x_final.reshape(height, width)
-            result.images[f"cheb{period}"] = traces[f"cheb{period}"].x_final.reshape(
-                height, width
-            )
+            for solver, tr in traces.items():
+                result.images[solver] = tr.x_final.reshape(height, width)
     result.headline = {"wins": float(wins), "seeds": float(seeds)}
     _emit(result, out_dir)
     return result

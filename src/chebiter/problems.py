@@ -2,18 +2,19 @@
 systems, toy nonlinear maps, and the sigmoid blur model, plus the seeded
 generators that produce reproducible instances of each.
 
-Every certified map (ISTA shrinkage, Jacobi, tanh(A x) and the blur)
-knows its Jacobian as shift I + scale diag(q) A, with A symmetric and
-q >= 0, and states it once through _factored_jacobian. That gives both
-its jacobian hook and a jacobian_spectrum hook, so range estimation gets
-the exact real spectrum instead of falling back to symmetrization. A is
-a dense array, or for the blur a positive definite operator: a matvec,
-two products with 0/1 band matrices (band(h) @ img @ band(w) is the
-window sum), together with its exact inverse from the band matrices'
-eigendecompositions. The blur's spectrum hook returns the two extreme
-eigenvalues, the upper by Lanczos on the scaled blur and the lower by
-Lanczos on its inverse; only its jacobian hook assembles the dense A,
-from the matvec, within the dense size cap.
+Every certified map but the diagonal tanh_equation_map (ISTA shrinkage,
+Jacobi, tanh(A x), the blur and its deblurring inverse) knows its
+Jacobian as shift I + scale diag(q) A, with A symmetric and q >= 0, and
+states it once through _factored_jacobian. That gives both its jacobian
+hook and a jacobian_spectrum hook, so range estimation gets the exact
+real spectrum instead of falling back to symmetrization. A is a dense
+array, or for the blur and deblur a positive definite operator: a
+matvec, two products with 0/1 band matrices (band(h) @ img @ band(w) is
+the window sum), together with its exact inverse from the band
+matrices' eigendecompositions. The blur's spectrum hook returns the two
+extreme eigenvalues, the upper by Lanczos on the scaled blur and the
+lower by Lanczos on its inverse; only its jacobian hook assembles the
+dense A, from the matvec, within the dense size cap.
 """
 from __future__ import annotations
 
@@ -58,7 +59,6 @@ __all__ = [
     "tanh_affine_map",
     "tanh_equation_map",
     "power_map",
-    "richardson_map",
     "blur_map",
     "deblur_map",
     "gen_synthetic_image",
@@ -217,7 +217,9 @@ def _factored_jacobian(
         qx = q(x)
         n = qx.size
         M = A if dense else _dense_operator(A[0], n)
-        return shift * np.eye(n) + scale * qx[:, None] * M
+        # scale (q A), not (scale q) A: with scale = -relax the result is
+        # I - relax (q A) bit for bit, since (-r) t = -(r t) exactly.
+        return shift * np.eye(n) + scale * (qx[:, None] * M)
 
     spectrum = None
     if not dense or _rel_asymmetry(A) <= _REL_ASYM_TOL:
@@ -277,8 +279,13 @@ def gen_sparse_instance(
     rng.standard_normal(out=M)
     mask = rng.random(n) < density
     x = rng.standard_normal(n) * mask
-    w = rng.standard_normal(m) * noise_sigma
-    return SparseRecoveryInstance(M=M, y=M @ x + w, x_true=x)
+    # A noise level large enough to overflow gives inf entries, refused below.
+    with np.errstate(over="ignore"):
+        w = rng.standard_normal(m) * noise_sigma
+        y = M @ x + w
+    if not np.isfinite(y).all():
+        raise NonFiniteValue(f"measurements overflow at noise_sigma={noise_sigma}")
+    return SparseRecoveryInstance(M=M, y=y, x_true=x)
 
 
 @dataclass(frozen=True)
@@ -535,39 +542,6 @@ def power_map() -> FixedPointMap:
     return FixedPointMap(dim=2, eval=step, jacobian=jac)
 
 
-def richardson_map(forward: FixedPointMap, y, relax: float) -> FixedPointMap:
-    """Residual update x <- x + relax * (y - g(x)) for inverting y = g(x).
-
-    Fixed points are exactly the solutions of g(x) = y. The Jacobian is
-    I - relax * J_g, so a spectrum certificate on g transfers directly,
-    whether it gives the full spectrum or only the two extremes.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (forward.dim,):
-        raise DimensionError(f"y has shape {y.shape}, expected ({forward.dim},)")
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteValue("y must be finite")
-    if not (0.0 < relax and math.isfinite(relax)):
-        raise InvalidInput(f"relax must be positive and finite, got {relax}")
-
-    def step(x):
-        return x + relax * (y - np.asarray(forward.eval(x), dtype=float))
-
-    jac = None
-    if forward.jacobian is not None:
-
-        def jac(x):
-            return np.eye(forward.dim) - relax * np.asarray(forward.jacobian(x))
-
-    spectrum = None
-    if forward.jacobian_spectrum is not None:
-
-        def spectrum(x):
-            return 1.0 - relax * np.asarray(forward.jacobian_spectrum(x), dtype=float)
-
-    return FixedPointMap(dim=forward.dim, eval=step, jacobian=jac, jacobian_spectrum=spectrum)
-
-
 # The blur kernel: each pixel's output is _BLUR_SELF times its own value
 # plus _BLUR_WEIGHT times the sum of the (2 _BLUR_HALF + 1)^2 window around
 # it, itself included, with zero padding at the borders.
@@ -631,13 +605,33 @@ def _unblur(x, U_h: np.ndarray, U_w: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (U_h @ core @ U_w.T).ravel()
 
 
+def _blur_model(height: int, width: int):
+    """(g, q, C) of the blur g(x) = sigmoid(C x) on flattened images of a
+    checked shape: g, the slope q = g (1 - g) of its Jacobian diag(q) C,
+    and C as the pair (_blur, _unblur) for _factored_jacobian. The band
+    matrices are built, and factored by eigh (_band_eigen), once here."""
+    band_h, band_w = _band(height), _band(width)
+    eigen = _band_eigen(band_h, band_w)
+
+    def blur(x):
+        return _blur(x, band_h, band_w)
+
+    def g(x):
+        return sigmoid(blur(x))
+
+    def slope(x):
+        s = g(x)
+        return s * (1.0 - s)
+
+    return g, slope, (blur, lambda x: _unblur(x, *eigen))
+
+
 def blur_map(height: int, width: int) -> FixedPointMap:
     """Saturating blur g(x) = sigmoid(C x) on flattened images.
 
     eval, the slope q = s (1 - s) of the Jacobian diag(q) C and the
     spectrum certificate all apply C matrix-free as two band-matrix
-    products (_blur); the two band matrices are built, and factored by
-    eigh (_band_eigen), once here. The Jacobian is stated through
+    products (_blur_model). The Jacobian is stated through
     _factored_jacobian with C as the pair (_blur, _unblur). Its spectrum
     hook returns the smallest and the largest eigenvalue of diag(q) C,
     which C's exact symmetry and q >= 0 make real, at any image size: the
@@ -653,34 +647,29 @@ def blur_map(height: int, width: int) -> FixedPointMap:
     fixed-point check and Lanczos all reject non-finite vectors first.
     """
     height, width = _check_image_shape(height, width)
-    band_h, band_w = _band(height), _band(width)
-    eigen = _band_eigen(band_h, band_w)
-
-    def blur(x):
-        return _blur(x, band_h, band_w)
-
-    def unblur(x):
-        return _unblur(x, *eigen)
-
-    def step(x):
-        return sigmoid(blur(x))
-
-    def slope(x):
-        s = step(x)
-        return s * (1.0 - s)
-
-    jacobian, spectrum = _factored_jacobian((blur, unblur), slope)
-    return FixedPointMap(
-        dim=height * width,
-        eval=step,
-        jacobian=jacobian,
-        jacobian_spectrum=spectrum,
-    )
+    g, slope, C = _blur_model(height, width)
+    jac, spectrum = _factored_jacobian(C, slope)
+    return FixedPointMap(dim=height * width, eval=g, jacobian=jac, jacobian_spectrum=spectrum)
 
 
 def deblur_map(y, height: int, width: int, relax: float) -> FixedPointMap:
-    """Residual deblurring iteration for observations y = sigmoid(C x)."""
-    return richardson_map(blur_map(height, width), y, relax)
+    """Residual update x <- x + relax (y - g(x)), whose fixed points solve
+    y = g(x) for the blur g of blur_map. Its Jacobian I - relax diag(q) C
+    is the blur's statement with shift 1 and scale -relax, so it carries
+    the same matrix-free certificate."""
+    height, width = _check_image_shape(height, width)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (height * width,):
+        raise DimensionError(f"y has shape {y.shape}, expected ({height * width},)")
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteValue("y must be finite")
+    if not (0.0 < relax and math.isfinite(relax)):
+        raise InvalidInput(f"relax must be positive and finite, got {relax}")
+    g, slope, C = _blur_model(height, width)
+    jac, spectrum = _factored_jacobian(C, slope, shift=1.0, scale=-relax)
+    return FixedPointMap(
+        dim=y.size, eval=lambda x: x + relax * (y - g(x)), jacobian=jac, jacobian_spectrum=spectrum
+    )
 
 
 def gen_synthetic_image(height: int, width: int, seed: int) -> np.ndarray:

@@ -357,8 +357,11 @@ def _verify_fixed_point(fpmap: FixedPointMap, x_star: np.ndarray, fp_tol: float)
         raise DimensionError(f"x_star has shape {x.shape}, expected ({fpmap.dim},)")
     if not np.all(np.isfinite(x)):
         raise NonFiniteValue("x_star has non-finite components")
-    defect = float(np.linalg.norm(np.asarray(fpmap.eval(x), dtype=float) - x))
-    tol = fp_tol * (1.0 + float(np.linalg.norm(x)))
+    fx = np.asarray(fpmap.eval(x), dtype=float)
+    # A norm that overflows is inf, which the check below handles.
+    with np.errstate(over="ignore"):
+        defect = float(np.linalg.norm(fx - x))
+        tol = fp_tol * (1.0 + float(np.linalg.norm(x)))
     if not defect <= tol:
         raise NotAFixedPoint(
             f"|f(x) - x| = {defect:.3e} exceeds {tol:.3e}; pass an actual fixed point"

@@ -195,6 +195,16 @@ class TestIstaDriver:
         assert all(hit > 0 for hit in hits)
         assert steps == hits + [1500] * 4
 
+    def test_diverged_scheduled_run_warns(self):
+        # A period this long overshoots on both seeds; like every study, the
+        # sweep says so instead of reporting a miss in silence.
+        res = run_ista(None, seeds=2, period=64, record_first=0)
+        assert res.warnings == [
+            "ista: run seed0/cheb64 diverged after 63 steps",
+            "ista: run seed1/cheb64 diverged after 121 steps",
+        ]
+        assert [row["cheb_iters_to_target"] for row in res.summary] == [-1, -1]
+
 
 class TestDeblurDriver:
     def test_small_sweep(self, tmp_path):
@@ -353,6 +363,8 @@ class TestCliExitCodes:
             (["ista", "--noise", "inf", "--seeds", "1"], "noise_sigma must be finite and >= 0"),
             (["deblur", "--range-a", "1e-320", "--range-b", "1e-320"], "factors must be finite"),
             (["bounds", "--a", "1e-320", "--b", "1e-320"], "factors must be finite"),
+            (["ista", "--noise", "1e160", "--seeds", "1"], "plain run of seed 0 diverged"),
+            (["ista", "--noise", "1e308", "--seeds", "1"], "measurements overflow"),
         ],
     )
     def test_overflowing_inputs(self, argv, message, tmp_path, capsys):
@@ -451,6 +463,19 @@ class TestCliBehavior:
                 got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
             assert got == want, argv
 
+    def test_summary_layouts_are_pinned(self, tmp_path, capsys):
+        # The bits of these studies move with the BLAS thread count, so
+        # only what no BLAS setting moves is pinned: the summary header
+        # and which cells of the plain row are blank.
+        for argv, (name, header, blank) in PINNED_LAYOUTS.items():
+            out = tmp_path / argv[-1]
+            assert main([*argv, "--out", str(out)]) == EX_OK
+            lines = (out / name).read_text().splitlines()
+            assert lines[0] == header, argv
+            plain = dict(zip(header.split(","), lines[1].split(",")))
+            assert plain["solver"] == "plain"
+            assert {key for key, cell in plain.items() if cell == ""} == blank, argv
+
     def test_deblur_writes_images(self, tmp_path, capsys):
         code = main(["deblur", "--seeds", "1", "--iters", "48", "--out", str(tmp_path)])
         assert code == EX_OK
@@ -501,7 +526,7 @@ PACKAGE_NAMES = """
     real_spectrum_via_similarity symmetric_eigenvalues JacobiInstance
     ProximalProblem SparseRecoveryInstance blur_map build_ista deblur_map
     fista_momentum fista_run gen_gram_matrix gen_jacobi_instance gen_sparse_instance
-    gen_synthetic_image jacobi_map power_map richardson_map sigmoid smooth_soft_shrink
+    gen_synthetic_image jacobi_map power_map sigmoid smooth_soft_shrink
     smooth_soft_shrink_grad soft_shrink softplus tanh_affine_map tanh_equation_map
     TRACE_HEADER TraceRecord load_config parse_config write_pgm
     write_trace_csv ExperimentResult bounds_rows run_deblur run_ista run_jacobi run_tanh_gram
@@ -533,7 +558,7 @@ class TestSurface:
         assert set(settings) == {k.replace("-", "_") for k in CLI_FLAGS[command]}
 
     def test_package_exports(self):
-        assert len(PACKAGE_NAMES) == 68
+        assert len(PACKAGE_NAMES) == 67
         assert sorted(chebiter.__all__) == sorted(PACKAGE_NAMES)
         for name in PACKAGE_NAMES:
             assert hasattr(chebiter, name), name
@@ -548,7 +573,7 @@ class TestSurface:
                 count += len(dataclasses.fields(obj))
             elif inspect.isfunction(obj):
                 count += len(inspect.signature(obj).parameters)
-        assert count == 153
+        assert count == 150
 
     def test_wrapped_step_sees_every_attempt(self, monkeypatch):
         # A benchmark tracer replaces core.inertial_step to count attempted
@@ -592,3 +617,20 @@ class TestSurface:
             ("bounds_rows", {"a": 0.2, "b": 0.8, "periods": (2,)}),
         ]
         assert "cheb4" in capsys.readouterr().out
+
+# The summary file, its header and the blank cells of its plain row for the
+# studies whose bits the BLAS thread count moves; see
+# test_summary_layouts_are_pinned. tanh_gram's plain row keeps its range.
+PINNED_LAYOUTS = {
+    ("jacobi",): (
+        "jacobi_summary.csv",
+        "solver,period,range_a,range_b,period_bound,per_step,final_error,iters_to_threshold,threshold",
+        {"range_a", "range_b", "period_bound", "per_step"},
+    ),
+    ("toy", "--map", "gram"): (
+        "tanh_gram_summary.csv",
+        "solver,period,range_a,range_b,period_bound,per_step,limit,final_error,"
+        "iters_to_threshold,threshold",
+        {"period_bound", "per_step"},
+    ),
+}

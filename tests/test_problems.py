@@ -38,7 +38,6 @@ from chebiter import (
     power_map,
     problems,
     real_spectrum_via_similarity,
-    richardson_map,
     run_inertial,
     sigmoid,
     smooth_soft_shrink,
@@ -386,6 +385,10 @@ class TestSparseInstances:
         for noise in (-0.1, np.nan, np.inf):
             with pytest.raises(InvalidInput, match="noise_sigma must be finite and >= 0"):
                 gen_sparse_instance(8, 4, 0.1, noise, seed=0)
+        # a finite noise level whose draw overflows is refused, with no
+        # numpy warning (the suite turns those into errors)
+        with pytest.raises(NonFiniteValue, match=r"measurements overflow at noise_sigma=1e\+308"):
+            gen_sparse_instance(8, 4, 0.1, 1e308, seed=0)
         with pytest.raises(DimensionError):
             SparseRecoveryInstance(M=np.eye(3), y=np.zeros(2), x_true=np.zeros(3))
 
@@ -693,36 +696,6 @@ class TestPowerMap:
         assert np.all(np.isfinite(out))
 
 
-class TestRichardson:
-    def test_fixed_points_solve_forward_problem(self):
-        A = np.array([[0.5, 0.1], [0.1, 0.4]])
-        forward = tanh_affine_map(A)
-        x_true = np.array([0.3, -0.2])
-        y = forward(x_true)
-        fpmap = richardson_map(forward, y, 0.8)
-        assert np.max(np.abs(fpmap(x_true) - x_true)) == 0.0
-
-    def test_jacobian_and_spectrum_composition(self):
-        rng = np.random.default_rng(8)
-        M = rng.normal(size=(5, 5)) * 0.3
-        A = (M + M.T) / 2.0
-        forward = tanh_affine_map(A)
-        y = np.zeros(5)
-        fpmap = richardson_map(forward, y, 0.8)
-        x = rng.normal(size=5) * 0.4
-        assert np.max(np.abs(jacobian_fd(fpmap.eval, x) - fpmap.jacobian(x))) <= 1e-6
-        ours = np.sort(fpmap.jacobian_spectrum(x))
-        oracle = brute_real_eigs_sorted(fpmap.jacobian(x))
-        assert np.max(np.abs(ours - oracle)) <= 1e-8
-
-    def test_validation(self):
-        forward = tanh_affine_map(np.eye(2) * 0.5)
-        with pytest.raises(DimensionError):
-            richardson_map(forward, np.zeros(3), 0.8)
-        with pytest.raises(InvalidInput):
-            richardson_map(forward, np.zeros(2), 0.0)
-
-
 class TestBlur:
     def test_matrix_structure(self):
         C = blur_matrix(10, 10)
@@ -908,8 +881,8 @@ class TestBlur:
         J = slope[:, None] * C
         assert forward.jacobian(x).tobytes() == J.tobytes()
         y = forward(np.random.default_rng(n + 1).uniform(0.0, 1.0, n))
-        richardson = np.eye(n) - 0.8 * J
-        assert deblur_map(y, *shape, 0.8).jacobian(x).tobytes() == richardson.tobytes()
+        residual = np.eye(n) - 0.8 * J
+        assert deblur_map(y, *shape, 0.8).jacobian(x).tobytes() == residual.tobytes()
 
     def test_deblur_fixed_point_and_spectrum_composition(self):
         img = gen_synthetic_image(12, 12, seed=3)
@@ -917,9 +890,23 @@ class TestBlur:
         y = forward(img.ravel())
         fpmap = deblur_map(y, 12, 12, relax=0.8)
         assert np.max(np.abs(fpmap(img.ravel()) - img.ravel())) == 0.0
+        # Exact: the scale -0.8 gives (-0.8) lam = -(0.8 lam), and 1 + (-t) is 1 - t.
         spec = fpmap.jacobian_spectrum(img.ravel())
         expect = 1.0 - 0.8 * np.asarray(forward.jacobian_spectrum(img.ravel()))
-        assert np.max(np.abs(np.sort(spec) - np.sort(expect))) <= 1e-12
+        assert spec.tobytes() == expect.tobytes()
+
+    def test_deblur_validation(self):
+        y = np.zeros(12)
+        with pytest.raises(DimensionError, match=r"y has shape \(13,\), expected \(12,\)"):
+            deblur_map(np.zeros(13), 3, 4, 0.8)
+        with pytest.raises(DimensionError, match=r"expected \(12,\)"):
+            deblur_map(np.zeros((3, 4)), 3, 4, 0.8)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(NonFiniteValue, match="y must be finite"):
+                deblur_map(np.where(np.arange(12) == 5, bad, 0.0), 3, 4, 0.8)
+        for relax in (0.0, math.inf, math.nan):
+            with pytest.raises(InvalidInput, match="relax must be positive and finite"):
+                deblur_map(y, 3, 4, relax)
 
 
 def blur_pair(height, width):

@@ -536,6 +536,12 @@ class TestEstimateEigenRange:
         )
         with pytest.raises(NotAFixedPoint):
             estimate_eigen_range(nan, np.zeros(2))
+        # a defect whose norm overflows is inf, with no numpy warning
+        huge = FixedPointMap(
+            dim=2, eval=lambda x: np.full(2, 1e200), jacobian=lambda x: 0.5 * np.eye(2)
+        )
+        with pytest.raises(NotAFixedPoint, match="= inf exceeds"):
+            estimate_eigen_range(huge, np.zeros(2))
 
     def test_fp_tol_admits_pilot_iterates(self):
         # fixed point of x -> 0.5 x + b is 2 b; probe nearby with a loose
