@@ -50,7 +50,7 @@ _DIVERGENCE_NORM = 1e12
 # cache line.
 _ALIGN = 64
 
-# numpy's float64 dtype object, which _as_vector compares by identity.
+# numpy's float64 dtype object, which inertial_step compares by identity.
 _FLOAT = np.dtype(float)
 
 
@@ -256,11 +256,6 @@ class IterationTrace:
 
 
 def _as_vector(x, dim: int, what: str) -> np.ndarray:
-    # A plain float64 vector of the right length is what np.asarray would
-    # return unchanged; returned without the call. An equal dtype that is not
-    # numpy's own float64 object takes the general path, to the same result.
-    if type(x) is np.ndarray and x.dtype is _FLOAT and x.shape == (dim,):
-        return x
     v = np.asarray(x, dtype=float)
     if v.shape != (dim,):
         raise DimensionError(f"{what} has shape {v.shape}, expected ({dim},)")
@@ -283,20 +278,30 @@ def inertial_step(fpmap: FixedPointMap, x: np.ndarray, omega: float) -> np.ndarr
     degenerate cases reproduce the plain iteration and the identity bit
     for bit. Non-finite results raise NonFiniteValue.
     """
-    x = _as_vector(x, fpmap.dim, "iterate")
+    dim = fpmap.dim
+    # A float64 vector of the right length, the runner's case, is what
+    # _as_vector would return unchanged, so it is tested inline and kept
+    # without the call. An equal dtype that is not numpy's own float64
+    # object takes the general path, to the same result.
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT or x.shape != (dim,):
+        x = _as_vector(x, dim, "iterate")
     if not math.isfinite(omega):
         raise NonFiniteValue(f"relaxation factor must be finite, got {omega}")
-    if omega == 1.0:
-        y = _as_vector(fpmap.eval(x), fpmap.dim, "map output")
-    elif omega == 0.0:
+    if omega == 0.0:
         y = x.copy()
     else:
-        fx = _as_vector(fpmap.eval(x), fpmap.dim, "map output")
-        # The same three operations as (1 - omega) * x + omega * fx, so the
-        # same bits (addition commutes) and the same warnings, without the
-        # wrapper cost of the operators on an array and a Python float.
-        y = np.multiply(fx, omega)
-        np.add(y, np.multiply(x, 1.0 - omega), y)
+        fx = fpmap.eval(x)
+        if type(fx) is not np.ndarray or fx.dtype is not _FLOAT or fx.shape != (dim,):
+            fx = _as_vector(fx, dim, "map output")
+        if omega == 1.0:
+            y = fx
+        else:
+            # The same three operations as (1 - omega) * x + omega * fx, so
+            # the same bits (addition commutes) and the same warnings,
+            # without the wrapper cost of the operators on an array and a
+            # Python float.
+            y = np.multiply(fx, omega)
+            np.add(y, np.multiply(x, 1.0 - omega), y)
     # Exact, and cheaper than setting up the reduction of .all().
     if b"\0" in np.isfinite(y).tobytes():
         raise NonFiniteValue("inertial step produced non-finite components")
@@ -326,6 +331,13 @@ def run_inertial(
     stops the run after the first accepted step whose error is at most
     the target. The run is deterministic: same inputs, same trace, bit for
     bit.
+
+    The tolerance rule needs the step's norm only when the error barely
+    moved: within 4 (n + 2) 2^-53 max(e_k, e_{k+1}) + 1e-150 of the
+    previous one, for a map of dimension n. Outside that band the step is
+    provably nonzero (the derivation is at the band in the loop), so its
+    norm is taken only inside it, and every run stops where it would if
+    the norm were taken on every step.
     """
     max_iters = _index(max_iters, "max_iters")
     if max_iters < 1:
@@ -341,10 +353,12 @@ def run_inertial(
     if not np.isfinite(ref).all():
         raise NonFiniteValue("x_ref has non-finite components")
 
+    n = fpmap.dim
     # x_new - ref and x_new - x are written into this one array, which is
     # never an iterate, so no step allocates a difference.
-    diff = np.empty(fpmap.dim)
-    errors = [_norm(np.subtract(x, ref, diff))]
+    diff = np.empty(n)
+    error = _norm(np.subtract(x, ref, diff))
+    errors = [error]
     # Against a zero reference the error is the iterate's own norm, which
     # the divergence test computes anyway (zeros of either sign give the
     # same squares). Against another, |x| <= error + |ref| by the triangle
@@ -353,7 +367,20 @@ def run_inertial(
     # any rounding of the two norms.
     zero_ref = not ref.any()
     ref_norm = _norm(ref)
-    factors_used = []
+    half_divergence = 0.5 * _DIVERGENCE_NORM
+    # The tolerance rule stops at a step d = x_new - x whose computed d.d
+    # is 0. A sum of nonnegative terms is 0 only if every term is, and
+    # d_i^2 rounds to 0 only if |d_i| <= 2^-537.5 (about 1.5e-162), so then
+    # the exact errors E = |x - ref| of the two iterates differ by at most
+    # |d| <= sqrt(n) 1.5e-162. Each computed error e is within
+    # (n/2 + 2) 2^-53 E of E (the subtractions, the dot product's gamma_n
+    # and the square root) plus sqrt(n) 1.5e-162 from squares that
+    # underflow. So a zero step moves the error by at most
+    # (n + 4) 2^-53 max(E) + 3 sqrt(n) 1.5e-162, well inside the band
+    # below for any n under 1e22, rounding of the test included. Outside
+    # the band the step is provably nonzero and its norm is not taken; an
+    # error that is not finite (a reference near overflow) falls inside.
+    band = 4 * (n + 2) * 2.0**-53
     stop_reason = StopReason.MAX_ITERS
     factors, period = schedule.factors, schedule.period
 
@@ -365,38 +392,43 @@ def run_inertial(
     # loop's temporaries do, because its operator was allocated before the
     # run on a 64-byte boundary (_aligned_empty); the offset of an operator
     # from a cache line, not the heap's history, is what its speed depends on.
+    # inertial_step is looked up in this module on every step, so that a
+    # wrapper set on core.inertial_step sees each attempted step.
     with np.errstate(over="ignore"):
         for k in range(max_iters):
-            w = factors[k % period]
             try:
-                x_new = inertial_step(fpmap, x, w)
+                x_new = inertial_step(fpmap, x, factors[k % period])
             except NonFiniteValue:
                 stop_reason = StopReason.DIVERGENCE
                 break
+            prev = error
             if zero_ref:
                 error = size = math.sqrt(x_new.dot(x_new))
             else:
-                error = _norm(np.subtract(x_new, ref, diff))
+                np.subtract(x_new, ref, diff)
+                error = math.sqrt(diff.dot(diff))
                 size = 0.0
-                if not error + ref_norm <= 0.5 * _DIVERGENCE_NORM:
+                if not error + ref_norm <= half_divergence:
                     size = math.sqrt(x_new.dot(x_new))
             if not size <= _DIVERGENCE_NORM:
                 stop_reason = StopReason.DIVERGENCE
                 break
-            factors_used.append(w)
             errors.append(error)
-            np.subtract(x_new, x, diff)
-            x = x_new
-            if diff.dot(diff) == 0.0:
+            x_old, x = x, x_new
+            if (
+                not abs(error - prev) > band * max(error, prev) + 1e-150
+                and np.subtract(x, x_old, diff).dot(diff) == 0.0
+            ):
                 stop_reason = StopReason.TOLERANCE
                 break
             if error_target is not None and error <= error_target:
                 stop_reason = StopReason.TARGET
                 break
 
+    # Step k used factors[k % period]: the schedule repeated cyclically.
     return IterationTrace(
         errors=np.asarray(errors, dtype=float),
-        factors_used=np.asarray(factors_used, dtype=float),
+        factors_used=np.resize(np.asarray(factors, dtype=float), len(errors) - 1),
         stop_reason=stop_reason,
         x_final=x,
     )

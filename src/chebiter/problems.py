@@ -330,7 +330,12 @@ def build_ista(instance: SparseRecoveryInstance) -> ProximalProblem:
     A = np.multiply(G, gamma, out=G)
     np.subtract(0.0, A, out=A)
     A.flat[:: n + 1] += 1.0
-    b = gamma * (M.T @ y)
+    # Measurements large enough to overflow M^T y give inf or nan entries,
+    # refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = gamma * (M.T @ y)
+    if not np.isfinite(b).all():
+        raise NonFiniteValue("gamma M^T y overflows; the measurements are too large")
     # tau, -beta and beta as 0-d arrays: a ufunc converts a Python float
     # operand to an array on every call, which cost about 1 us per step.
     shrink_args = tuple(np.array(c) for c in (tau, -_BETA, _BETA))
@@ -411,7 +416,8 @@ def jacobi_map(P, q) -> FixedPointMap:
     jac, spectrum = _factored_jacobian(P, lambda x: dinv, shift=1.0, scale=-1.0)
     return FixedPointMap(
         dim=n,
-        eval=lambda x: dinv * (q - R @ x),
+        # the gemv R @ x runs, bit for bit, with less call overhead
+        eval=lambda x: dinv * (q - R.dot(x)),
         jacobian=jac,
         jacobian_spectrum=spectrum if np.all(d > 0.0) else None,
     )
@@ -486,7 +492,8 @@ def tanh_affine_map(A) -> FixedPointMap:
     jac, spectrum = _factored_jacobian(A, lambda x: 1.0 / np.cosh(A @ x) ** 2)
     return FixedPointMap(
         dim=A.shape[0],
-        eval=lambda x: np.tanh(A @ x),
+        # the gemv A @ x runs, bit for bit, with less call overhead
+        eval=lambda x: np.tanh(A.dot(x)),
         jacobian=jac,
         jacobian_spectrum=spectrum,
     )

@@ -36,13 +36,12 @@ __all__ = [
     "per_step_rate_limit",
     "period_spectral_radius",
     "jacobian_fd",
-    "symmetric_eigenvalues",
     "real_spectrum_via_similarity",
     "estimate_eigen_range",
 ]
 
-# Largest n the dense paths accept: symmetric_eigenvalues, the similarity
-# spectrum of a dense A, the dense path of estimate_eigen_range and the
+# Largest n the dense paths accept: the similarity spectrum of a dense A
+# (real_spectrum_via_similarity's too), the dense path of estimate_eigen_range and the
 # jacobian hook of a map that gives A as an operator, which assembles A
 # from its matvec. Their O(n^2) memory and O(n^3) time were only checked
 # up to this size. A map that gives A as a matvec and its inverse (the
@@ -187,17 +186,6 @@ def _check_symmetric(S, what: str) -> np.ndarray:
             f"{what} has relative asymmetry {asym:.3e} > {_REL_ASYM_TOL:.1e}"
         )
     return S
-
-
-def symmetric_eigenvalues(S) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending.
-
-    Rejects matrices whose relative asymmetry |S - S^T|_F / |S|_F exceeds
-    1e-10 and sizes beyond MAX_DENSE_DIM; asymmetry within the tolerance
-    is treated as roundoff and symmetrized away.
-    """
-    S = _check_symmetric(S, "matrix")
-    return np.linalg.eigvalsh((S + S.T) / 2.0)
 
 
 def real_spectrum_via_similarity(A, q) -> np.ndarray:
@@ -358,13 +346,25 @@ def _verify_fixed_point(fpmap: FixedPointMap, x_star: np.ndarray, fp_tol: float)
     if not np.all(np.isfinite(x)):
         raise NonFiniteValue("x_star has non-finite components")
     fx = np.asarray(fpmap.eval(x), dtype=float)
-    # A norm that overflows is inf, which the check below handles.
+    # A defect norm that overflows is inf, which the check below refuses.
+    # When |x| overflows, the tolerance would be inf and pass any point, so
+    # both norms are then taken in units of x's largest component, and the
+    # test reads defect <= fp_tol (1 / scale + |x|) in those units.
+    scale = 1.0
     with np.errstate(over="ignore"):
-        defect = float(np.linalg.norm(fx - x))
-        tol = fp_tol * (1.0 + float(np.linalg.norm(x)))
+        size = float(np.linalg.norm(x))
+        if size == math.inf:
+            scale = float(np.abs(x).max())
+            x_scaled = x / scale
+            size = float(np.linalg.norm(x_scaled))
+            defect = float(np.linalg.norm(fx / scale - x_scaled))
+        else:
+            defect = float(np.linalg.norm(fx - x))
+    tol = fp_tol * (1.0 / scale + size)
     if not defect <= tol:
         raise NotAFixedPoint(
-            f"|f(x) - x| = {defect:.3e} exceeds {tol:.3e}; pass an actual fixed point"
+            f"|f(x) - x| = {defect * scale:.3e} exceeds {tol * scale:.3e}; "
+            "pass an actual fixed point"
         )
     return x
 

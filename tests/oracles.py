@@ -1,5 +1,6 @@
 """Independent oracles and test-only helpers used by the test suite: an
-eigenvalue oracle, a row-at-a-time trace CSV writer, the two-branch
+eigenvalue oracle, a checked symmetric eigensolver, a row-at-a-time trace
+CSV writer, the two-branch
 sigmoid, a slice-sum blur and the dense blur matrix, readers for the
 trace CSV and PGM files the package writes, and the Chebyshev
 polynomials.
@@ -16,6 +17,11 @@ roots in complex extended precision. Zero rows are split off first
 repeated roots away from the polynomial solve. Validated against
 matrices with known spectra to about 5e-10 for n <= 16 when eigenvalue
 gaps are at least 0.02.
+
+symmetric_eigenvalues is numpy's eigvalsh behind the package's own
+checks on a symmetric matrix (square, finite, within the dense size cap,
+relative asymmetry at most 1e-10), which real_spectrum_via_similarity
+applies to its A. The tests use it for spectra of matrices they build.
 
 The trace writer is the plain form: one csv writerow call per iterate.
 The package's writer must match it byte for byte.
@@ -43,6 +49,7 @@ import csv
 import numpy as np
 
 from chebiter.errors import InvalidInput
+from chebiter.spectral import _check_symmetric
 from chebiter.traceio import TraceRecord
 
 TRACE_HEADER = ("run_id", "solver", "k", "error", "omega")
@@ -85,6 +92,17 @@ def brute_real_eigs_sorted(M, polish=6, imag_tol=1e-8):
     lam = brute_eigs(M, polish=polish)
     assert np.max(np.abs(lam.imag)) <= imag_tol, "oracle found complex eigenvalues"
     return np.sort(lam.real)
+
+
+def symmetric_eigenvalues(S):
+    """Eigenvalues of a symmetric matrix, ascending.
+
+    Rejects matrices whose relative asymmetry |S - S^T|_F / |S|_F exceeds
+    1e-10 and sizes beyond the dense cap; asymmetry within the tolerance
+    is treated as roundoff and symmetrized away.
+    """
+    S = _check_symmetric(S, "matrix")
+    return np.linalg.eigvalsh((S + S.T) / 2.0)
 
 
 def _fmt(x: float) -> str:

@@ -37,12 +37,11 @@ from chebiter import (
     run_tanh_gram,
     run_tanh_solve,
     run_toy_power,
-    symmetric_eigenvalues,
     tanh_affine_map,
     tanh_equation_map,
 )
 from chebiter.cli import main as cli_main
-from oracles import brute_real_eigs_sorted
+from oracles import brute_real_eigs_sorted, symmetric_eigenvalues
 
 POWER_FP = 2.9645655163368224
 POWER_B = (0.62576286215399513, 1.206553321640678)

@@ -403,6 +403,107 @@ class TestRunInertialBits:
         assert tr.errors.tobytes() == np.array(want).tobytes()
 
 
+class TestRunInertialStepNorm:
+    """The runner takes the norm of a step only when the error barely
+    moved; each stop still matches the independent loop, which takes it
+    on every step."""
+
+    def run_both(self, fpmap, schedule, x0, ref, *stop):
+        want, want_reason = loop_errors(fpmap, schedule, x0, ref, *stop)
+        tr = run_inertial(fpmap, schedule, x0, ref, *stop)
+        assert tr.stop_reason is want_reason
+        assert tr.errors.tobytes() == np.array(want).tobytes()
+        return tr
+
+    @pytest.mark.parametrize("ref", [np.zeros(3), np.array([1e-155, -3e-156, 2e-160])])
+    def test_underflowing_last_step_stops_at_the_same_step(self, ref):
+        # x <- x / 2, exactly: the iterate keeps changing, but once every
+        # |d_i| is below about 1.5e-162 the squares of the step underflow
+        # and its computed norm is 0, while the error still moves, by far
+        # less than the band's 1e-150 floor. The start puts that first such
+        # step's components at 0.9e-162 and below.
+        halve = affine_map(0.5 * np.eye(3), np.zeros(3))
+        x0 = np.array([1.8e-162, -1e-162, 5e-163]) * 2.0**60
+        tr = self.run_both(halve, plain_schedule(), x0, ref, 500)
+        assert tr.stop_reason is StopReason.TOLERANCE
+        before = run_inertial(halve, plain_schedule(), x0, ref, tr.steps - 1).x_final
+        step = tr.x_final - before
+        assert step.any() and np.all(np.abs(step) < 1e-162)
+        assert step.dot(step) == 0.0
+        assert tr.errors[-1] != tr.errors[-2]
+
+    def test_underflowing_step_that_moves_the_error_by_an_ulp(self):
+        # x <- x + 2^-538 next to ref r = 1.5 2^-434, whose spacing is
+        # u = 2^-486: x - r rounds to a grid point of r's, and the step from
+        # just below the tie x = 1.5 u to the tie itself moves the computed
+        # error from r - u to r - 2u (ties to even). That is far above the
+        # band's 1e-150 floor, but the step's square underflows all the
+        # same, so it is the relative part of the band that keeps the norm
+        # taken and the run stopped there.
+        u, delta = 2.0**-486, 2.0**-538
+        shift = FixedPointMap(dim=1, eval=lambda x: x + delta)
+        x0, ref = np.array([1.5 * u - delta]), np.array([1.5 * 2.0**-434])
+        tr = self.run_both(shift, plain_schedule(), x0, ref, 10)
+        assert tr.stop_reason is StopReason.TOLERANCE and tr.steps == 1
+        assert tr.errors.tolist() == [ref[0] - u, ref[0] - 2 * u]
+
+    @pytest.mark.parametrize("n", [2, 8, 200])
+    def test_norm_preserving_map_has_no_false_stop(self, n):
+        # an orthogonal Q keeps |x| = |x - 0| up to rounding on every step,
+        # so the error barely moves, though no step is zero
+        rng = np.random.default_rng(23)
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        x0 = rng.normal(size=n)
+        tr = self.run_both(affine_map(Q, np.zeros(n)), plain_schedule(), x0, np.zeros(n), 300)
+        assert tr.stop_reason is StopReason.MAX_ITERS and tr.steps == 300
+        assert np.all(np.abs(np.diff(tr.errors)) <= 1e-13 * tr.errors[0])
+
+    def test_factors_used_is_the_cyclic_schedule_prefix(self):
+        sched = InertialSchedule(period=3, factors=(1.0, 1.5, 0.5))
+        contract = affine_map(0.5 * np.eye(2), np.zeros(2))
+        grow = affine_map(3.0 * np.eye(2), np.zeros(2))
+        x0, ref = np.ones(2), np.zeros(2)
+        runs = {
+            "budget": (contract, (7,)),
+            "divergence": (grow, (200,)),
+            "target": (contract, (200, 1e-3)),
+        }
+        for name, (fpmap, stop) in runs.items():
+            tr = self.run_both(fpmap, sched, x0, ref, *stop)
+            assert tr.stop_reason.value == ("max_iters" if name == "budget" else name)
+            assert tr.steps % 3 != 0
+            want = [sched.factors[k % 3] for k in range(tr.steps)]
+            assert tr.factors_used.dtype == np.float64
+            assert tr.factors_used.tolist() == want
+
+    def test_one_inertial_step_call_per_attempted_step(self, monkeypatch):
+        calls = []
+        step = core.inertial_step
+
+        def counted(*args):
+            calls.append(args[2])
+            return step(*args)
+
+        monkeypatch.setattr(core, "inertial_step", counted)
+        sched = chebyshev_schedule(EigenRange(0.3, 0.9), 4)
+        rng = np.random.default_rng(4)
+        A = np.diag(np.linspace(0.1, 0.7, 5))
+        x0 = rng.normal(size=5)
+        cases = [
+            (affine_map(A, np.zeros(5)), (50,), 0),  # budget
+            (affine_map(A, np.zeros(5)), (200, 1e-6), 0),  # target
+            (affine_map(0.5 * np.eye(5), np.ones(5)), (500,), 0),  # tolerance
+            (affine_map(4.0 * np.eye(5), np.zeros(5)), (500,), 1),  # divergence
+        ]
+        for fpmap, stop, rejected in cases:
+            calls.clear()
+            want, _ = loop_errors(fpmap, sched, x0, np.zeros(5), *stop)
+            tr = run_inertial(fpmap, sched, x0, np.zeros(5), *stop)
+            assert tr.errors.tobytes() == np.array(want).tobytes()
+            assert len(calls) == tr.steps + rejected
+            assert calls == [sched.factors[k % 4] for k in range(len(calls))]
+
+
 class TestRunInertial:
     def test_all_ones_schedule_matches_plain_iteration_bitwise(self):
         rng = np.random.default_rng(5)

@@ -365,6 +365,7 @@ class TestCliExitCodes:
             (["bounds", "--a", "1e-320", "--b", "1e-320"], "factors must be finite"),
             (["ista", "--noise", "1e160", "--seeds", "1"], "plain run of seed 0 diverged"),
             (["ista", "--noise", "1e308", "--seeds", "1"], "measurements overflow"),
+            (["ista", "--noise", "1e307", "--seeds", "1"], "gamma M^T y overflows"),
         ],
     )
     def test_overflowing_inputs(self, argv, message, tmp_path, capsys):
@@ -523,7 +524,7 @@ PACKAGE_NAMES = """
     chebyshev_roots chebyshev_schedule inertial_step plain_schedule
     run_inertial estimate_eigen_range jacobian_fd per_step_rate per_step_rate_limit
     period_contraction_bound period_polynomial period_spectral_radius
-    real_spectrum_via_similarity symmetric_eigenvalues JacobiInstance
+    real_spectrum_via_similarity JacobiInstance
     ProximalProblem SparseRecoveryInstance blur_map build_ista deblur_map
     fista_momentum fista_run gen_gram_matrix gen_jacobi_instance gen_sparse_instance
     gen_synthetic_image jacobi_map power_map sigmoid smooth_soft_shrink
@@ -558,7 +559,7 @@ class TestSurface:
         assert set(settings) == {k.replace("-", "_") for k in CLI_FLAGS[command]}
 
     def test_package_exports(self):
-        assert len(PACKAGE_NAMES) == 67
+        assert len(PACKAGE_NAMES) == 66
         assert sorted(chebiter.__all__) == sorted(PACKAGE_NAMES)
         for name in PACKAGE_NAMES:
             assert hasattr(chebiter, name), name
@@ -573,7 +574,7 @@ class TestSurface:
                 count += len(dataclasses.fields(obj))
             elif inspect.isfunction(obj):
                 count += len(inspect.signature(obj).parameters)
-        assert count == 150
+        assert count == 149
 
     def test_wrapped_step_sees_every_attempt(self, monkeypatch):
         # A benchmark tracer replaces core.inertial_step to count attempted

@@ -45,13 +45,18 @@ from chebiter import (
     soft_shrink,
     softplus,
     spectral,
-    symmetric_eigenvalues,
     tanh_affine_map,
     tanh_equation_map,
 )
 from chebiter.cli import EX_OK, main
 
-from oracles import blur_matrix, blur_slice_sum, brute_real_eigs_sorted, sigmoid_two_branch
+from oracles import (
+    blur_matrix,
+    blur_slice_sum,
+    brute_real_eigs_sorted,
+    sigmoid_two_branch,
+    symmetric_eigenvalues,
+)
 
 # Independently computed with 40-digit arithmetic, rounded to double.
 SIGMOID_15 = 0.81757447619364366
@@ -409,6 +414,14 @@ class TestBuildIsta:
             prob.fpmap, plain_schedule(), np.zeros(4), x_star, 5
         )
         assert tr.stop_reason is StopReason.TOLERANCE
+
+    def test_overflowing_measurements_raise_typed_error(self):
+        # finite measurements whose gamma M^T y overflows are refused, with
+        # no numpy warning (the suite turns those into errors)
+        M = np.array([[1.0, 1.0], [1.0, -1.0]])
+        inst = SparseRecoveryInstance(M=M, y=np.array([1.5e308, 1.5e308]), x_true=np.zeros(2))
+        with pytest.raises(NonFiniteValue, match="gamma M\\^T y overflows"):
+            build_ista(inst)
 
     def test_step_size_against_dense_eigensolver(self):
         inst = gen_sparse_instance(48, 24, 0.15, 0.05, seed=7)

@@ -33,10 +33,14 @@ from chebiter import (
     real_spectrum_via_similarity,
     run_inertial,
     spectral,
-    symmetric_eigenvalues,
 )
 
-from oracles import brute_real_eigs_sorted, chebyshev_eval, monic_chebyshev
+from oracles import (
+    brute_real_eigs_sorted,
+    chebyshev_eval,
+    monic_chebyshev,
+    symmetric_eigenvalues,
+)
 
 R19 = EigenRange(0.1, 0.9)
 
@@ -259,6 +263,9 @@ class TestJacobianFd:
 
 
 class TestSymmetricEigenvalues:
+    """The test oracle's eigensolver, behind the checks that
+    real_spectrum_via_similarity applies to its A."""
+
     def test_known_spectrum(self):
         lam = symmetric_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert lam == pytest.approx([1.0, 3.0], rel=1e-14)
@@ -542,6 +549,21 @@ class TestEstimateEigenRange:
         )
         with pytest.raises(NotAFixedPoint, match="= inf exceeds"):
             estimate_eigen_range(huge, np.zeros(2))
+
+    def test_point_whose_norm_overflows(self):
+        # |x| overflows, so the tolerance fp_tol (1 + |x|) would be inf and
+        # admit any point: 0 is the only fixed point of x -> 0.5 x
+        half = affine_fp_map(np.diag([0.5, 0.5]), np.zeros(2))
+        with pytest.raises(NotAFixedPoint, match="7.071e\\+199 exceeds 1.414e\\+194"):
+            estimate_eigen_range(half, np.full(2, 1e200))
+        # an actual fixed point of that size still passes: c of x -> (x + c) / 2
+        c = np.full(2, 1e308)
+        mean = FixedPointMap(
+            dim=2, eval=lambda x: 0.5 * x + 0.5 * c, jacobian=lambda x: 0.5 * np.eye(2)
+        )
+        assert estimate_eigen_range(mean, c) == EigenRange(0.5, 0.5)
+        with pytest.raises(NotAFixedPoint):
+            estimate_eigen_range(mean, c * (1.0 - 1e-5))
 
     def test_fp_tol_admits_pilot_iterates(self):
         # fixed point of x -> 0.5 x + b is 2 b; probe nearby with a loose
