@@ -41,11 +41,11 @@ __all__ = [
 ]
 
 # Largest n the dense paths accept: the similarity spectrum of a dense A
-# (real_spectrum_via_similarity's too), the dense path of estimate_eigen_range and the
-# jacobian hook of a map that gives A as an operator, which assembles A
-# from its matvec. Their O(n^2) memory and O(n^3) time were only checked
-# up to this size. A map that gives A as a matvec and its inverse (the
-# blur) is certified by Lanczos, without cap.
+# (real_spectrum_via_similarity's too), the dense path of
+# estimate_eigen_range and the jacobian hook of a map that gives A as an
+# operator, which assembles A from its matvec. Their O(n^2) memory and
+# O(n^3) time were only checked up to this size. A map that gives A as a
+# matvec and its inverse (the blur) is certified by Lanczos, without cap.
 MAX_DENSE_DIM = 1024
 
 _REL_ASYM_TOL = 1e-10
