@@ -330,7 +330,8 @@ def run_inertial(
     recorded error is finite. error_target, when given (finite, >= 0),
     stops the run after the first accepted step whose error is at most
     the target. The run is deterministic: same inputs, same trace, bit for
-    bit.
+    bit. x0, x_ref and |x0 - x_ref| must be finite and |x_ref| + 1e12 at
+    most 1e154, which keeps every error finite (NonFiniteValue otherwise).
 
     The tolerance rule needs the step's norm only when the error barely
     moved: within 4 (n + 2) 2^-53 max(e_k, e_{k+1}) + 1e-150 of the
@@ -357,7 +358,16 @@ def run_inertial(
     # x_new - ref and x_new - x are written into this one array, which is
     # never an iterate, so no step allocates a difference.
     diff = np.empty(n)
-    error = _norm(np.subtract(x, ref, diff))
+    # Norms of finite vectors overflow only to inf, refused here. The error
+    # of an accepted iterate is at most |ref| + _DIVERGENCE_NORM, and below
+    # 1e154 its square, and so the error, is finite.
+    with np.errstate(over="ignore"):
+        error = _norm(np.subtract(x, ref, diff))
+        ref_norm = _norm(ref)
+    if not ref_norm + _DIVERGENCE_NORM <= 1e154:
+        raise NonFiniteValue(f"|x_ref| = {ref_norm:.3e} is too large; errors would overflow")
+    if error == math.inf:
+        raise NonFiniteValue("|x0 - x_ref| overflows")
     errors = [error]
     # Against a zero reference the error is the iterate's own norm, which
     # the divergence test computes anyway (zeros of either sign give the
@@ -366,7 +376,6 @@ def run_inertial(
     # far below the threshold (or not finite): half of it leaves room for
     # any rounding of the two norms.
     zero_ref = not ref.any()
-    ref_norm = _norm(ref)
     half_divergence = 0.5 * _DIVERGENCE_NORM
     # The tolerance rule stops at a step d = x_new - x whose computed d.d
     # is 0. A sum of nonnegative terms is 0 only if every term is, and
@@ -378,8 +387,7 @@ def run_inertial(
     # underflow. So a zero step moves the error by at most
     # (n + 4) 2^-53 max(E) + 3 sqrt(n) 1.5e-162, well inside the band
     # below for any n under 1e22, rounding of the test included. Outside
-    # the band the step is provably nonzero and its norm is not taken; an
-    # error that is not finite (a reference near overflow) falls inside.
+    # the band the step is provably nonzero and its norm is not taken.
     band = 4 * (n + 2) * 2.0**-53
     stop_reason = StopReason.MAX_ITERS
     factors, period = schedule.factors, schedule.period

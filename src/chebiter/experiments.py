@@ -209,7 +209,7 @@ def run_jacobi(
     """
     result = ExperimentResult("jacobi")
     inst = gen_jacobi_instance(n, seed)
-    fpmap = jacobi_map(inst.P, inst.q)
+    fpmap = jacobi_map(inst.P, np.zeros(n))
     threshold = 1e-6 * float(np.linalg.norm(inst.x0))
     bounds = ("period_bound", "per_step")
     rng, _ = _compare(result, fpmap, inst.x0, np.zeros(n), periods, iters, bounds, threshold)

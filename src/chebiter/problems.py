@@ -2,25 +2,21 @@
 systems, toy nonlinear maps, and the sigmoid blur model, plus the seeded
 generators that produce reproducible instances of each.
 
-Every certified map but the diagonal tanh_equation_map (ISTA shrinkage,
-Jacobi, tanh(A x), the blur and its deblurring inverse) knows its
-Jacobian as shift I + scale diag(q) A, with A symmetric and q >= 0, and
-states it once through _factored_jacobian. That gives both its jacobian
-hook and a jacobian_spectrum hook, so range estimation gets the exact
-real spectrum instead of falling back to symmetrization. A is a dense
-array, or for the blur and deblur a positive definite operator: a
-matvec, two products with 0/1 band matrices (band(h) @ img @ band(w) is
-the window sum), together with its exact inverse from the band
-matrices' eigendecompositions. The blur's spectrum hook returns the two
-extreme eigenvalues, the upper by Lanczos on the scaled blur and the
-lower by Lanczos on its inverse; only its jacobian hook assembles the
-dense A, from the matvec, within the dense size cap.
+Every certified map (ISTA shrinkage, Jacobi, tanh(A x), x + tanh(x) = y,
+the blur and its deblurring inverse) knows its Jacobian as
+shift I + scale diag(q) A, with A symmetric and q >= 0, and states it
+once through spectral._factored_jacobian, which gives both its jacobian
+hook and a jacobian_spectrum hook: range estimation gets the exact real
+spectrum instead of falling back to symmetrization. A is a dense array,
+None (the identity) for the diagonal tanh_equation_map, or for the blur
+and deblur a positive definite operator, given as a matrix-free matvec
+together with its exact inverse (blur_map).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -32,13 +28,7 @@ from .errors import (
     NonFiniteValue,
     SingularDiagonal,
 )
-from .spectral import (
-    _REL_ASYM_TOL,
-    _check_dense_size,
-    _check_square,
-    _rel_asymmetry,
-    _similarity_spectrum,
-)
+from .spectral import _check_square, _factored_jacobian
 
 __all__ = [
     "sigmoid",
@@ -184,50 +174,6 @@ def smooth_soft_shrink_grad(x, tau: float, beta: float = _BETA):
     _check_beta(beta)
     x = np.asarray(x, dtype=float)
     return sigmoid(beta * (x - tau)) + sigmoid(-beta * (x + tau))
-
-
-_Hook = Callable[[np.ndarray], np.ndarray]
-
-
-def _dense_operator(matvec: _Hook, n: int) -> np.ndarray:
-    """The n x n matrix of a linear matvec, column k being matvec of the
-    k-th identity column; refused with InvalidInput past MAX_DENSE_DIM."""
-    _check_dense_size(n)
-    return np.column_stack([matvec(e) for e in np.eye(n)])
-
-
-def _factored_jacobian(
-    A, q: _Hook, shift: float = 0.0, scale: float = 1.0
-) -> Tuple[_Hook, Optional[_Hook]]:
-    """(jacobian, jacobian_spectrum) hooks for J(x) = shift I + scale diag(q(x)) A,
-    the one Jacobian statement of every certified map.
-
-    q(x) must be nonnegative. A is a dense array, or a pair (matvec,
-    inverse matvec) of a symmetric positive definite operator. The
-    spectrum hook is shift + scale times the real eigenvalues of
-    diag(q(x)) A that _similarity_spectrum gives: the full spectrum of a
-    dense A, the two extremes of an operator. It is None for a dense A
-    that is not symmetric to the tolerance of the spectral layer. The
-    jacobian hook of an operator assembles A from its matvec on every
-    call (_dense_operator), so only up to MAX_DENSE_DIM.
-    """
-    dense = isinstance(A, np.ndarray)
-
-    def jacobian(x):
-        qx = q(x)
-        n = qx.size
-        M = A if dense else _dense_operator(A[0], n)
-        # scale (q A), not (scale q) A: with scale = -relax the result is
-        # I - relax (q A) bit for bit, since (-r) t = -(r t) exactly.
-        return shift * np.eye(n) + scale * (qx[:, None] * M)
-
-    spectrum = None
-    if not dense or _rel_asymmetry(A) <= _REL_ASYM_TOL:
-
-        def spectrum(x):
-            return shift + scale * _similarity_spectrum(A, q(x))
-
-    return jacobian, spectrum
 
 
 @dataclass(frozen=True)
@@ -428,7 +374,6 @@ class JacobiInstance:
     """A random diagonally dominant system P x = 0 and a starting point."""
 
     P: np.ndarray
-    q: np.ndarray
     x0: np.ndarray
 
 
@@ -447,7 +392,7 @@ def gen_jacobi_instance(n: int, seed: int) -> JacobiInstance:
     M = rng.standard_normal((n, n)) * (0.03 * math.sqrt(512.0 / n))
     P = np.eye(n) + M.T @ M
     x0 = rng.standard_normal(n)
-    return JacobiInstance(P=P, q=np.zeros(n), x0=x0)
+    return JacobiInstance(P=P, x0=x0)
 
 
 def gen_gram_matrix(
@@ -502,24 +447,19 @@ def tanh_affine_map(A) -> FixedPointMap:
 def tanh_equation_map(y) -> FixedPointMap:
     """The map x <- y - tanh(x), whose fixed point solves x + tanh(x) = y.
 
-    The Jacobian -diag(sech^2(x)) is diagonal, so the spectrum is exact;
-    every eigenvalue of B = I - J lies in (1, 2], making the plain
-    iteration painfully slow while a tuned schedule is not.
+    The Jacobian -diag(sech^2(x)) is the statement with no A and scale
+    -1, so its spectrum is -sech^2(x) itself; every eigenvalue of
+    B = I - J lies in (1, 2], making the plain iteration painfully slow
+    while a tuned schedule is not.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise DimensionError(f"y must be a vector, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise NonFiniteValue("y must be finite")
-
-    def jac(x):
-        return np.diag(-1.0 / np.cosh(x) ** 2)
-
+    jac, spectrum = _factored_jacobian(None, lambda x: 1.0 / np.cosh(x) ** 2, scale=-1.0)
     return FixedPointMap(
-        dim=y.size,
-        eval=lambda x: y - np.tanh(x),
-        jacobian=jac,
-        jacobian_spectrum=lambda x: -1.0 / np.cosh(x) ** 2,
+        dim=y.size, eval=lambda x: y - np.tanh(x), jacobian=jac, jacobian_spectrum=spectrum
     )
 
 

@@ -8,12 +8,15 @@ iteration whose error propagates through B = I - J(x*):
   over [a, b] in closed form, period_contraction_bound);
 * what eigenvalue range [a, b] should the schedule be built for
   (estimate_eigen_range and the eigensolver helpers underneath it).
+
+Every certified map states its Jacobian J = shift I + scale diag(q(x)) A
+here, through _factored_jacobian, which _similarity_spectrum certifies.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -205,13 +208,14 @@ def _similarity_spectrum(A, q) -> np.ndarray:
     """Real eigenvalues of diag(q) A, including its smallest and largest,
     for symmetric A and nonnegative q; q is checked on every call.
 
-    How A is given picks the algorithm. A dense ndarray, already known to
-    be a finite square float array with relative asymmetry within
-    _REL_ASYM_TOL (as when a map builder checked it once), gets the full
-    ascending spectrum from eigvalsh, within the MAX_DENSE_DIM cap. A
-    pair (matvec, inverse matvec) of a positive definite A gets only the
-    smallest and the largest eigenvalue, at any size, from two Lanczos
-    runs (_shift_invert_extremes).
+    How A is given picks the algorithm. None, the identity, gets q itself,
+    in its order. A dense ndarray, already known to be a finite square
+    float array with relative asymmetry within _REL_ASYM_TOL (as when a
+    map builder checked it once), gets the full ascending spectrum from
+    eigvalsh, within the MAX_DENSE_DIM cap. A pair (matvec, inverse
+    matvec) of a positive definite A gets only the smallest and the
+    largest eigenvalue, at any size, from two Lanczos runs
+    (_shift_invert_extremes).
     """
     dense = isinstance(A, np.ndarray)
     q = np.asarray(q, dtype=float)
@@ -224,6 +228,8 @@ def _similarity_spectrum(A, q) -> np.ndarray:
         raise NonFiniteValue("q has non-finite entries")
     if np.any(q < 0.0):
         raise InvalidInput("q must be nonnegative for the similarity to be real")
+    if A is None:
+        return q
     if not dense:
         return _shift_invert_extremes(*A, q)
 
@@ -243,6 +249,50 @@ def _similarity_spectrum(A, q) -> np.ndarray:
     sym /= 2.0
     lam = np.linalg.eigvalsh(sym)
     return np.sort(np.concatenate([lam, np.zeros(n - k)]))
+
+
+_Hook = Callable[[np.ndarray], np.ndarray]
+
+
+def _dense_operator(matvec: _Hook, n: int) -> np.ndarray:
+    """The n x n matrix of a linear matvec, column k being matvec of the
+    k-th identity column; refused with InvalidInput past MAX_DENSE_DIM."""
+    _check_dense_size(n)
+    return np.column_stack([matvec(e) for e in np.eye(n)])
+
+
+def _factored_jacobian(
+    A, q: _Hook, shift: float = 0.0, scale: float = 1.0
+) -> Tuple[_Hook, Optional[_Hook]]:
+    """(jacobian, jacobian_spectrum) hooks for J(x) = shift I + scale diag(q(x)) A,
+    the one Jacobian statement of every certified map.
+
+    q(x) must be nonnegative. A is a dense array, a pair (matvec,
+    inverse matvec) of a symmetric positive definite operator, or None
+    for the identity. The spectrum hook is shift + scale times the real
+    eigenvalues of diag(q(x)) A that _similarity_spectrum gives: the full
+    spectrum of a dense A, the two extremes of an operator, q(x) itself
+    for the identity. It is None for a dense A that is not symmetric to
+    _REL_ASYM_TOL. The jacobian hook of an operator assembles A from its
+    matvec on every call (_dense_operator), so only up to MAX_DENSE_DIM.
+    """
+    dense = isinstance(A, np.ndarray)
+
+    def jacobian(x):
+        qx = q(x)
+        n = qx.size
+        M = A if dense else np.eye(n) if A is None else _dense_operator(A[0], n)
+        # scale (q A), not (scale q) A: with scale = -relax the result is
+        # I - relax (q A) bit for bit, since (-r) t = -(r t) exactly.
+        return shift * np.eye(n) + scale * (qx[:, None] * M)
+
+    spectrum = None
+    if not dense or _rel_asymmetry(A) <= _REL_ASYM_TOL:
+
+        def spectrum(x):
+            return shift + scale * _similarity_spectrum(A, q(x))
+
+    return jacobian, spectrum
 
 
 def _shift_invert_extremes(matvec, inverse, q: np.ndarray) -> np.ndarray:

@@ -242,7 +242,7 @@ def test_criterion_09_packaged_maps_contract():
     ranges = {}
 
     inst = gen_jacobi_instance(64, 0)
-    fpmap = jacobi_map(inst.P, inst.q)
+    fpmap = jacobi_map(inst.P, np.zeros(64))
     ranges["jacobi"] = estimate_eigen_range(fpmap, np.zeros(64))
 
     A = gen_gram_matrix(128, 0.022, 0, normalize_to=0.97)

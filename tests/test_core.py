@@ -587,6 +587,24 @@ class TestRunInertial:
         with pytest.raises(NonFiniteValue):
             run_inertial(m, plain_schedule(), np.ones(1), np.array([np.inf]), 5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_error_norms_rejected(self):
+        # Both used to record inf errors after a numpy overflow warning.
+        m = FixedPointMap(2, lambda x: 0.5 * x)
+        with pytest.raises(NonFiniteValue, match=r"\|x_ref\| = inf"):
+            run_inertial(m, plain_schedule(), np.ones(2), np.full(2, 1e200), 3)
+        with pytest.raises(NonFiniteValue, match=r"\|x0 - x_ref\| overflows"):
+            run_inertial(m, plain_schedule(), np.full(2, 1e200), np.zeros(2), 3)
+        # |x_ref| + 1e12 must stay at most 1e154, even when |x_ref| is finite
+        with pytest.raises(NonFiniteValue, match=r"\|x_ref\| = 1\.273e\+154"):
+            run_inertial(m, plain_schedule(), np.ones(2), np.full(2, 9e153), 3)
+        # just inside the bound every error is finite, iterates up to 1e12 too
+        ref = np.full(2, 7e153)
+        for x0 in (np.ones(2), np.full(2, 7e11)):
+            tr = run_inertial(m, plain_schedule(), x0, ref, 3)
+            assert tr.stop_reason is StopReason.MAX_ITERS
+            assert np.all(np.isfinite(tr.errors)) and len(tr.errors) == 4
+
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(2)
         A = rng.normal(size=(4, 4)) * 0.2

@@ -221,13 +221,13 @@ class TestDeblurDriver:
     def test_never_builds_dense_blur(self, monkeypatch):
         # the certificate is matrix-free; only the jacobian hook needs C
         calls = []
-        assemble = chebiter.problems._dense_operator
+        assemble = chebiter.spectral._dense_operator
 
         def spy(*args):
             calls.append(args)
             return assemble(*args)
 
-        monkeypatch.setattr(chebiter.problems, "_dense_operator", spy)
+        monkeypatch.setattr(chebiter.spectral, "_dense_operator", spy)
         run_deblur(None, seeds=1, iters=8)
         assert calls == []
         chebiter.problems.blur_map(3, 4).jacobian(np.zeros(12))
@@ -574,7 +574,7 @@ class TestSurface:
                 count += len(dataclasses.fields(obj))
             elif inspect.isfunction(obj):
                 count += len(inspect.signature(obj).parameters)
-        assert count == 149
+        assert count == 148
 
     def test_wrapped_step_sees_every_attempt(self, monkeypatch):
         # A benchmark tracer replaces core.inertial_step to count attempted

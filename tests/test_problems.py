@@ -576,7 +576,7 @@ class TestJacobi:
         # jacobi spectra cluster tightly, which the characteristic-polynomial
         # oracle cannot resolve; the general QR solver is the cross-check here
         inst = gen_jacobi_instance(24, seed=9)
-        fpmap = jacobi_map(inst.P, inst.q)
+        fpmap = jacobi_map(inst.P, np.zeros(24))
         B = inst.P / np.diag(inst.P)[:, None]
         assert fpmap.jacobian_spectrum is not None
         spec_j = np.sort(fpmap.jacobian_spectrum(inst.x0))
@@ -679,6 +679,20 @@ class TestTanhMaps:
         J = fpmap.jacobian(x)
         assert np.max(np.abs(J - np.diag(np.diag(J)))) == 0.0
         assert np.max(np.abs(jacobian_fd(fpmap.eval, x) - J)) <= 1e-6
+
+    def test_equation_hooks_keep_the_hand_formula_bits(self):
+        # The statement with no A and scale -1 gives the bits of the formulas
+        # -1/cosh^2 and its diagonal matrix, off-diagonal +0.0 included.
+        points = [0.0, -0.0, 0.7, -0.7, 20.0, -20.0, 5e-324, -1e-310, 0.3]
+        for k in range(1, 6):
+            fpmap = tanh_equation_map(np.zeros(k))
+            for start in range(len(points) - k + 1):
+                x = np.array(points[start : start + k])
+                want = -1.0 / np.cosh(x) ** 2
+                spectrum, J = fpmap.jacobian_spectrum(x), fpmap.jacobian(x)
+                assert spectrum.shape == (k,) and J.shape == (k, k)
+                assert spectrum.tobytes() == want.tobytes()
+                assert J.tobytes() == np.diag(want).tobytes()
 
 
 class TestPowerMap:
@@ -1050,6 +1064,22 @@ class TestSyntheticImages:
     def test_rejects_tiny_images(self):
         with pytest.raises(InvalidInput):
             gen_synthetic_image(8, 28, seed=0)
+
+
+def test_certified_maps_state_their_jacobian_once():
+    # Every certified builder's hooks come from spectral._factored_jacobian,
+    # the one statement J = shift I + scale diag(q(x)) A; none writes its own.
+    maps = {
+        "build_ista": build_ista(gen_sparse_instance(32, 16, 0.1, 0.05, seed=11)).fpmap,
+        "jacobi_map": jacobi_map(gen_jacobi_instance(16, 4).P, np.zeros(16)),
+        "tanh_affine_map": tanh_affine_map(gen_gram_matrix(16, 0.1, 2)),
+        "tanh_equation_map": tanh_equation_map(np.array([0.1, 0.6])),
+        "blur_map": blur_map(4, 5),
+        "deblur_map": deblur_map(np.full(20, 0.5), 4, 5, 0.8),
+    }
+    for name, fpmap in maps.items():
+        for hook in (fpmap.jacobian, fpmap.jacobian_spectrum):
+            assert hook.__qualname__.startswith("_factored_jacobian."), name
 
 
 def _load_tracing():
