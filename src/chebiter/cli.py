@@ -1,9 +1,9 @@
 """Command line front end for the reference experiments.
 
-Every subcommand prints a short summary to stdout and, when --out is
-given, writes trace/summary CSV files (plus PGM images for deblur) into
-that directory. Reruns with identical arguments reproduce the output
-files byte for byte.
+Every subcommand prints a short summary to stdout. When --out is given,
+it first writes trace/summary CSV files (plus PGM images for deblur) into
+that directory, so an I/O failure prints no summary. Reruns with
+identical arguments reproduce the output files byte for byte.
 
 A subcommand's flags and config keys are the keyword parameters of its
 driver, typed by their defaults; a tuple default takes a comma list.
@@ -68,7 +68,7 @@ def _keywords(driver: Callable) -> Dict[str, Callable[[str], object]]:
     return {
         p.name: _int_list if isinstance(p.default, tuple) else type(p.default)
         for p in inspect.signature(driver).parameters.values()
-        if p.default is not p.empty and p.default is not None
+        if p.default is not p.empty
     }
 
 
@@ -153,13 +153,10 @@ def _print_rows(rows: List[dict]) -> None:
         print("  " + " ".join(f"{k}={_hfmt(v)}" for k, v in row.items()))
 
 
-def _print_bounds(rows: List[dict], out_dir: Optional[str]) -> None:
+def _print_bounds(rows: List[dict], path: Optional[str]) -> None:
     print(f"bounds: range [{_hfmt(rows[0]['range_a'])}, {_hfmt(rows[0]['range_b'])}]")
     _print_rows(rows)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "bounds.csv")
-        write_rows_csv(path, rows)
+    if path is not None:
         print(f"wrote {path}")
 
 
@@ -177,10 +174,18 @@ def _dispatch(command: str, settings: Dict[str, object], out_dir: Optional[str])
     drivers = STUDIES[command][1]
     name = drivers[settings.pop("map", next(iter(drivers)))]
     kwargs = {key: value for key, value in settings.items() if key in KEYWORDS[name]}
+    result = globals()[name](**kwargs)
     if command == "bounds":
-        _print_bounds(globals()[name](**kwargs), out_dir)
+        path = None
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            path = os.path.join(out_dir, "bounds.csv")
+            write_rows_csv(path, result)
+        _print_bounds(result, path)
     else:
-        _print_result(globals()[name](out_dir, **kwargs), out_dir)
+        if out_dir is not None:
+            result.write(out_dir)
+        _print_result(result, out_dir)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

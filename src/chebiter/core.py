@@ -161,34 +161,29 @@ class EigenRange:
 
 def plain_schedule() -> "InertialSchedule":
     """Schedule of all-ones factors: the unrelaxed iteration x <- f(x)."""
-    return InertialSchedule(period=1, factors=(1.0,))
+    return InertialSchedule(factors=(1.0,))
 
 
 @dataclass(frozen=True)
 class InertialSchedule:
     """Periodic sequence of relaxation factors w_0 .. w_{period-1}.
 
-    Step k uses factors[k mod period]. The optional range records which
-    eigenvalue interval the factors were built for.
+    Step k uses factors[k mod period]; the period is the number of factors.
     """
 
-    period: int
     factors: tuple
-    range: Optional[EigenRange] = None
 
     def __post_init__(self) -> None:
         factors = tuple(_real(w, "schedule factor") for w in self.factors)
-        period = _index(self.period, "schedule period")
-        if period < 1:
-            raise InvalidInput(f"schedule period must be >= 1, got {self.period}")
-        if len(factors) != period:
-            raise InvalidInput(
-                f"schedule declares period {self.period} but has {len(factors)} factors"
-            )
+        if not factors:
+            raise InvalidInput("a schedule needs at least one factor")
         if not all(math.isfinite(w) for w in factors):
             raise NonFiniteValue(f"schedule factors must be finite, got {factors}")
-        object.__setattr__(self, "period", period)
         object.__setattr__(self, "factors", factors)
+
+    @property
+    def period(self) -> int:
+        return len(self.factors)
 
 
 def chebyshev_roots(rng: EigenRange, period: int) -> np.ndarray:
@@ -225,7 +220,7 @@ def chebyshev_schedule(rng: EigenRange, period: int) -> InertialSchedule:
     # A factor that overflows is left to InertialSchedule's finite check.
     with np.errstate(over="ignore"):
         factors = 1.0 / chebyshev_roots(rng, period)
-    return InertialSchedule(period=period, factors=tuple(factors), range=rng)
+    return InertialSchedule(factors=tuple(factors))
 
 
 class StopReason(str, Enum):

@@ -1,11 +1,12 @@
 """Reference experiments: each driver builds a seeded problem instance,
 runs the plain, best-constant, and Chebyshev-scheduled iterations on it,
-and writes error traces plus a summary table (and images, for the
-deblurring study) into an output directory. The Jacobi and toy-map
-studies, one instance each, share one comparison path, _compare.
+and returns an ExperimentResult of error traces and a summary table (and
+images, for the deblurring study); result.write(dir) writes them into a
+directory. The Jacobi and toy-map studies, one instance each, share one
+comparison path, _compare.
 
 Defaults are the desk-scale study settings; rerunning a driver with the
-same arguments reproduces its output files byte for byte.
+same arguments reproduces its written files byte for byte.
 """
 from __future__ import annotations
 
@@ -78,15 +79,14 @@ class ExperimentResult:
     def summary_path(self, out_dir) -> str:
         return os.path.join(out_dir, f"{self.name}_summary.csv")
 
-
-def _emit(result: ExperimentResult, out_dir) -> None:
-    if out_dir is None:
-        return
-    os.makedirs(out_dir, exist_ok=True)
-    write_trace_csv(result.trace_path(out_dir), result.records)
-    write_rows_csv(result.summary_path(out_dir), result.summary)
-    for key, img in result.images.items():
-        write_pgm(os.path.join(out_dir, f"{result.name}_{key}.pgm"), img)
+    def write(self, out_dir) -> None:
+        """Write the traces, the summary and any images into out_dir,
+        making the directory if it is missing."""
+        os.makedirs(out_dir, exist_ok=True)
+        write_trace_csv(self.trace_path(out_dir), self.records)
+        write_rows_csv(self.summary_path(out_dir), self.summary)
+        for key, img in self.images.items():
+            write_pgm(os.path.join(out_dir, f"{self.name}_{key}.pgm"), img)
 
 
 def _iters_to(errors: np.ndarray, threshold: float) -> int:
@@ -150,13 +150,12 @@ def _compare(
     unnamed = {"period_bound", "per_step", "limit"}.difference(bounds)
     for solver, tr in traces.items():
         T = schedules[solver].period
-        sched_rng = schedules[solver].range
         scheduled = solver != "plain"
         row = {
             "solver": solver,
             "period": T,
-            "range_a": sched_rng.a if sched_rng else "",
-            "range_b": sched_rng.b if sched_rng else "",
+            "range_a": rng.a if scheduled else "",
+            "range_b": rng.b if scheduled else "",
             "period_bound": period_contraction_bound(rng, T) if scheduled else "",
             "per_step": per_step_rate(rng, T) if scheduled else "",
             "limit": per_step_rate_limit(rng),
@@ -195,7 +194,6 @@ def bounds_rows(
 
 
 def run_jacobi(
-    out_dir=None,
     n: int = 64,
     seed: int = 0,
     periods: Sequence[int] = (1, 8),
@@ -214,12 +212,10 @@ def run_jacobi(
     bounds = ("period_bound", "per_step")
     rng, _ = _compare(result, fpmap, inst.x0, np.zeros(n), periods, iters, bounds, threshold)
     result.headline = {"range_a": rng.a, "range_b": rng.b}
-    _emit(result, out_dir)
     return result
 
 
 def run_toy_power(
-    out_dir=None,
     periods: Sequence[int] = (1, 2, 8),
     iters: int = 40,
 ) -> ExperimentResult:
@@ -242,12 +238,10 @@ def run_toy_power(
         "range_a": rng.a,
         "range_b": rng.b,
     }
-    _emit(result, out_dir)
     return result
 
 
 def run_tanh_solve(
-    out_dir=None,
     periods: Sequence[int] = (8,),
     iters: int = 20,
 ) -> ExperimentResult:
@@ -281,12 +275,10 @@ def run_tanh_solve(
         "plain_final": float(traces["plain"].errors[-1]),
         "cheb_final": float(traces[list(traces)[-1]].errors[-1]),
     }
-    _emit(result, out_dir)
     return result
 
 
 def run_tanh_gram(
-    out_dir=None,
     n: int = 128,
     seed: int = 0,
     std: float = 0.022,
@@ -311,12 +303,10 @@ def run_tanh_gram(
     # plain row too.
     result.summary[0]["range_a"], result.summary[0]["range_b"] = rng.a, rng.b
     result.headline = {"range_a": rng.a, "range_b": rng.b}
-    _emit(result, out_dir)
     return result
 
 
 def run_ista(
-    out_dir=None,
     n: int = 256,
     m: int = 128,
     density: float = 0.1,
@@ -401,12 +391,10 @@ def run_ista(
         "budget": float(iters),
         "fista_win_rate": fista_wins / seeds,
     }
-    _emit(result, out_dir)
     return result
 
 
 def run_deblur(
-    out_dir=None,
     height: int = 28,
     width: int = 28,
     relax: float = 0.8,
@@ -427,7 +415,8 @@ def run_deblur(
     seeds 5 and 9 (1.003 and 1.030). The period contraction bound of
     (range_a, range_b) therefore does not cover the modes outside it; the
     schedule still beats the plain iteration on every default seed.
-    Images for the first seed are saved as PGM files alongside the traces.
+    The first seed's images go into result.images; write() saves them as
+    PGM files alongside the traces.
     """
     seeds = _index(seeds, "seeds")
     if seeds < 1:
@@ -467,5 +456,4 @@ def run_deblur(
             for solver, tr in traces.items():
                 result.images[solver] = tr.x_final.reshape(height, width)
     result.headline = {"wins": float(wins), "seeds": float(seeds)}
-    _emit(result, out_dir)
     return result

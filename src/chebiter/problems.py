@@ -427,6 +427,14 @@ def gen_gram_matrix(
     return G
 
 
+def _sech2(u) -> np.ndarray:
+    """sech^2(u) = 1 / cosh(u)^2. Past |u| ~ 355 the square overflows to
+    inf (past ~ 710, cosh itself), and 1 / inf is +0.0, the true value
+    rounded, so that overflow is no warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / np.cosh(u) ** 2
+
+
 def tanh_affine_map(A) -> FixedPointMap:
     """The map x <- tanh(A x), a contraction study with fixed point zero.
 
@@ -434,7 +442,7 @@ def tanh_affine_map(A) -> FixedPointMap:
     diag(sech^2(A x)) A with nonnegative scaling.
     """
     A = _check_square(A, "A")
-    jac, spectrum = _factored_jacobian(A, lambda x: 1.0 / np.cosh(A @ x) ** 2)
+    jac, spectrum = _factored_jacobian(A, lambda x: _sech2(A @ x))
     return FixedPointMap(
         dim=A.shape[0],
         # the gemv A @ x runs, bit for bit, with less call overhead
@@ -457,7 +465,7 @@ def tanh_equation_map(y) -> FixedPointMap:
         raise DimensionError(f"y must be a vector, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise NonFiniteValue("y must be finite")
-    jac, spectrum = _factored_jacobian(None, lambda x: 1.0 / np.cosh(x) ** 2, scale=-1.0)
+    jac, spectrum = _factored_jacobian(None, _sech2, scale=-1.0)
     return FixedPointMap(
         dim=y.size, eval=lambda x: y - np.tanh(x), jacobian=jac, jacobian_spectrum=spectrum
     )

@@ -463,6 +463,8 @@ def estimate_eigen_range(
         eig_b = 1.0 - eig_j
         return EigenRange(float(eig_b.min()), float(eig_b.max()))
 
+    # Refused before the Jacobian is formed: 2n evaluations for the differences.
+    _check_dense_size(fpmap.dim)
     if fpmap.jacobian is not None:
         J = _check_square(fpmap.jacobian(x), "jacobian")
         if J.shape[0] != fpmap.dim:
@@ -481,6 +483,5 @@ def estimate_eigen_range(
             SpectrumNotCertifiedReal,
             stacklevel=2,
         )
-    _check_dense_size(fpmap.dim)
     lam = np.linalg.eigvalsh((B + B.T) / 2.0)
     return EigenRange(float(lam[0]), float(lam[-1]))

@@ -61,35 +61,35 @@ def _by_solver(result):
 @pytest.fixture(scope="module")
 def gram_study():
     t0 = time.monotonic()
-    res = run_tanh_gram(None)
+    res = run_tanh_gram()
     return res, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
 def power_study():
     t0 = time.monotonic()
-    res = run_toy_power(None)
+    res = run_toy_power()
     return res, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
 def tanh_study():
     t0 = time.monotonic()
-    res = run_tanh_solve(None)
+    res = run_tanh_solve()
     return res, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
 def ista_study():
     t0 = time.monotonic()
-    res = run_ista(None)
+    res = run_ista()
     return res, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
 def deblur_study():
     t0 = time.monotonic()
-    res = run_deblur(None)
+    res = run_deblur()
     return res, time.monotonic() - t0
 
 

@@ -81,7 +81,8 @@ class TestBoundsRows:
 
 class TestJacobiDriver:
     def test_summary_and_files(self, tmp_path):
-        res = run_jacobi(str(tmp_path))
+        res = run_jacobi()
+        res.write(tmp_path)
         rows = by_solver(res)
         assert set(rows) == {"plain", "sor", "cheb8"}
         assert 0.5 < res.headline["range_a"] < res.headline["range_b"] < 2.0
@@ -95,14 +96,10 @@ class TestJacobiDriver:
         assert all(len(r.errors) == 41 for r in records)
         assert os.path.exists(tmp_path / "jacobi_summary.csv")
 
-    def test_no_files_without_out_dir(self, tmp_path):
-        res = run_jacobi(None, n=16, iters=10)
-        assert res.summary and not list(tmp_path.iterdir())
-
 
 class TestToyDrivers:
     def test_power_map_study(self):
-        res = run_toy_power(None)
+        res = run_toy_power()
         assert res.headline["fixed_point_1"] == pytest.approx(POWER_FP, abs=1e-9)
         rows = by_solver(res)
         hits = {s: rows[s]["iters_to_threshold"] for s in rows}
@@ -110,7 +107,7 @@ class TestToyDrivers:
         assert hits["cheb8"] < hits["cheb2"] < hits["plain"]
 
     def test_tanh_solve_study(self):
-        res = run_tanh_solve(None)
+        res = run_tanh_solve()
         assert res.headline["solution_1"] == pytest.approx(TANH_SOLVE_X[0], abs=1e-9)
         assert res.headline["solution_2"] == pytest.approx(TANH_SOLVE_X[1], abs=1e-9)
         rows = by_solver(res)
@@ -118,10 +115,10 @@ class TestToyDrivers:
 
     def test_tanh_solve_needs_a_period(self):
         with pytest.raises(InvalidInput):
-            run_tanh_solve(None, periods=())
+            run_tanh_solve(periods=())
 
     def test_tanh_solve_runs_every_period(self):
-        res = run_tanh_solve(None, periods=(1, 4, 8))
+        res = run_tanh_solve(periods=(1, 4, 8))
         assert list(by_solver(res)) == ["plain", "sor", "cheb4", "cheb8"]
         assert res.headline["cheb_final"] == by_solver(res)["cheb8"]["final_error"]
 
@@ -130,11 +127,12 @@ class TestToyDrivers:
     )
     def test_headline_is_finite_at_defaults(self, driver):
         # a printed headline of inf or nan on working code compares nothing
-        headline = driver(None).headline
+        headline = driver().headline
         assert headline and all(math.isfinite(v) for v in headline.values()), headline
 
     def test_tanh_gram_study(self, tmp_path):
-        res = run_tanh_gram(str(tmp_path))
+        res = run_tanh_gram()
+        res.write(tmp_path)
         rows = by_solver(res)
         assert set(rows) == {"plain", "sor", "cheb2", "cheb4", "cheb8"}
         # the pinned top eigenvalue fixes the left end of the range
@@ -150,7 +148,8 @@ class TestToyDrivers:
 
 class TestIstaDriver:
     def test_small_sweep(self, tmp_path):
-        res = run_ista(str(tmp_path), seeds=3, iters=600)
+        res = run_ista(seeds=3, iters=600)
+        res.write(tmp_path)
         assert len(res.summary) == 3
         for row in res.summary:
             assert 0.0 < row["range_a"] < row["range_b"] < 2.0
@@ -172,7 +171,7 @@ class TestIstaDriver:
             return build_ista(*args, **kwargs)
 
         monkeypatch.setattr(chebiter.experiments, "build_ista", counted)
-        run_ista(None, seeds=2, n=32, m=16, iters=200)
+        run_ista(seeds=2, n=32, m=16, iters=200)
         assert len(calls) == 2
 
     def test_early_stop_changes_no_number(self, monkeypatch):
@@ -187,8 +186,8 @@ class TestIstaDriver:
             return trace
 
         monkeypatch.setattr(chebiter.experiments, "run_inertial", counted)
-        stopped = run_ista(None, seeds=4, record_first=0)
-        full = run_ista(None, seeds=4, record_first=4)
+        stopped = run_ista(seeds=4, record_first=0)
+        full = run_ista(seeds=4, record_first=4)
         assert stopped.summary == full.summary
         assert stopped.headline == full.headline
         hits = [row["cheb_iters_to_target"] for row in stopped.summary]
@@ -198,7 +197,7 @@ class TestIstaDriver:
     def test_diverged_scheduled_run_warns(self):
         # A period this long overshoots on both seeds; like every study, the
         # sweep says so instead of reporting a miss in silence.
-        res = run_ista(None, seeds=2, period=64, record_first=0)
+        res = run_ista(seeds=2, period=64, record_first=0)
         assert res.warnings == [
             "ista: run seed0/cheb64 diverged after 63 steps",
             "ista: run seed1/cheb64 diverged after 121 steps",
@@ -208,7 +207,8 @@ class TestIstaDriver:
 
 class TestDeblurDriver:
     def test_small_sweep(self, tmp_path):
-        res = run_deblur(str(tmp_path), seeds=2, iters=64)
+        res = run_deblur(seeds=2, iters=64)
+        res.write(tmp_path)
         assert len(res.summary) == 2
         for row in res.summary:
             assert row["mse_cheb"] < row["mse_plain"]
@@ -228,7 +228,7 @@ class TestDeblurDriver:
             return assemble(*args)
 
         monkeypatch.setattr(chebiter.spectral, "_dense_operator", spy)
-        run_deblur(None, seeds=1, iters=8)
+        run_deblur(seeds=1, iters=8)
         assert calls == []
         chebiter.problems.blur_map(3, 4).jacobian(np.zeros(12))
         assert len(calls) == 1
@@ -239,16 +239,16 @@ def test_seed_count_is_an_integer(driver):
     # seeds=True used to run seed 0 alone, and seeds=1.5 to fail in range()
     for bad in (True, 1.5, 1.0, "1"):
         with pytest.raises(InvalidInput, match="integer"):
-            driver(None, seeds=bad)
+            driver(seeds=bad)
 
 
 def test_recorded_seed_count_is_a_nonnegative_integer():
     # record_first=True and 0.5 used to record seed 0
     for bad in (True, 0.5, 1.0, "1"):
         with pytest.raises(InvalidInput, match="integer"):
-            run_ista(None, seeds=1, record_first=bad)
+            run_ista(seeds=1, record_first=bad)
     with pytest.raises(InvalidInput, match=">= 0"):
-        run_ista(None, seeds=1, record_first=-1)
+        run_ista(seeds=1, record_first=-1)
 
 
 class TestCliExitCodes:
@@ -294,6 +294,16 @@ class TestCliExitCodes:
         argv = ["deblur", "--height", height, "--width", width, "--out", str(tmp_path)]
         assert main(argv) == EX_USAGE
         assert "pixels per side" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["jacobi", "bounds"])
+    def test_out_under_a_file(self, command, tmp_path, capsys):
+        # the files are written before the summary is printed, so an I/O
+        # failure prints nothing to stdout
+        (tmp_path / "afile").write_text("")
+        argv = [command, "--out", str(tmp_path / "afile" / "sub")]
+        assert main(argv) == EX_IOERR
+        got = capsys.readouterr()
+        assert got.out == "" and got.err.startswith("io error: ")
 
     def test_missing_config(self, capsys):
         assert main(["jacobi", "--config", "/nonexistent/x.cfg"]) == EX_IOERR
@@ -574,7 +584,7 @@ class TestSurface:
                 count += len(dataclasses.fields(obj))
             elif inspect.isfunction(obj):
                 count += len(inspect.signature(obj).parameters)
-        assert count == 148
+        assert count == 140
 
     def test_wrapped_step_sees_every_attempt(self, monkeypatch):
         # A benchmark tracer replaces core.inertial_step to count attempted

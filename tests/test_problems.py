@@ -683,16 +683,38 @@ class TestTanhMaps:
     def test_equation_hooks_keep_the_hand_formula_bits(self):
         # The statement with no A and scale -1 gives the bits of the formulas
         # -1/cosh^2 and its diagonal matrix, off-diagonal +0.0 included.
+        # Past |x| ~ 355 the square of cosh overflows, and past ~ 710 cosh
+        # itself; the slope is then 0 with no warning, and the statement's
+        # shift 0.0 makes it +0.0, so the formula is written 0 - 1/cosh^2,
+        # which is -1/cosh^2 bit for bit at every nonzero value.
         points = [0.0, -0.0, 0.7, -0.7, 20.0, -20.0, 5e-324, -1e-310, 0.3]
+        points += [400.0, -400.0, 800.0, -800.0, 0.3]
         for k in range(1, 6):
             fpmap = tanh_equation_map(np.zeros(k))
             for start in range(len(points) - k + 1):
                 x = np.array(points[start : start + k])
-                want = -1.0 / np.cosh(x) ** 2
+                with np.errstate(over="ignore"):
+                    want = 0.0 - 1.0 / np.cosh(x) ** 2
                 spectrum, J = fpmap.jacobian_spectrum(x), fpmap.jacobian(x)
                 assert spectrum.shape == (k,) and J.shape == (k, k)
                 assert spectrum.tobytes() == want.tobytes()
                 assert J.tobytes() == np.diag(want).tobytes()
+
+    def test_ranges_far_from_the_origin(self):
+        # slopes of cosh overflows are +0.0, with no numpy warning (an error
+        # in this suite): x + tanh(x) = (800, 0.5) at x = (799, 0.2526...),
+        # and tanh(A x) at x = (1, 0), where A x = (800, 0)
+        x2 = 0.25
+        for _ in range(8):
+            x2 -= (x2 + math.tanh(x2) - 0.5) / (1.0 + 1.0 / math.cosh(x2) ** 2)
+        rng = estimate_eigen_range(tanh_equation_map([800.0, 0.5]), np.array([799.0, x2]))
+        assert rng.a == 1.0
+        assert rng.b == pytest.approx(1.0 + 1.0 / math.cosh(x2) ** 2, rel=1e-15)
+        assert rng.b == pytest.approx(1.9388, abs=1e-4)
+        fpmap = tanh_affine_map(np.diag([800.0, 0.5]))
+        assert fpmap.jacobian(np.array([1.0, 0.0])).tolist() == [[0.0, 0.0], [0.0, 0.5]]
+        rng = estimate_eigen_range(fpmap, np.array([1.0, 0.0]))
+        assert (rng.a, rng.b) == (0.5, 1.0)
 
 
 class TestPowerMap:

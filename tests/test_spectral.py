@@ -532,6 +532,13 @@ class TestEstimateEigenRange:
         big = affine_fp_map(np.zeros((n, n)), np.zeros(n))
         with pytest.raises(InvalidInput):
             estimate_eigen_range(big, np.zeros(n))
+        # a map with no Jacobian is refused after the fixed-point check's
+        # one evaluation, not after 2n more for the central differences
+        calls = []
+        hookless = FixedPointMap(dim=n, eval=lambda x: calls.append(x) or 0.5 * x)
+        with pytest.raises(InvalidInput, match="dense solver limited"):
+            estimate_eigen_range(hookless, np.zeros(n))
+        assert len(calls) == 1
 
     def test_rejects_non_fixed_point(self):
         m = affine_fp_map(np.diag([0.5]), np.array([1.0]))

@@ -95,13 +95,37 @@ class TestTraceCsv:
 
 # Each study at a tiny size, for its trace records.
 TINY_STUDIES = {
-    "jacobi": lambda: run_jacobi(None, n=8, iters=12),
-    "toy_power": lambda: run_toy_power(None, iters=12),
-    "tanh_solve": lambda: run_tanh_solve(None, iters=8),
-    "tanh_gram": lambda: run_tanh_gram(None, n=8, iters=30),
-    "ista": lambda: run_ista(None, n=32, m=16, seeds=2, iters=60, fista_iters=10),
-    "deblur": lambda: run_deblur(None, height=12, width=12, seeds=1, iters=16),
+    "jacobi": lambda: run_jacobi(n=8, iters=12),
+    "toy_power": lambda: run_toy_power(iters=12),
+    "tanh_solve": lambda: run_tanh_solve(iters=8),
+    "tanh_gram": lambda: run_tanh_gram(n=8, iters=30),
+    "ista": lambda: run_ista(n=32, m=16, seeds=2, iters=60, fista_iters=10),
+    "deblur": lambda: run_deblur(height=12, width=12, seeds=1, iters=16),
 }
+
+
+class TestStudyFiles:
+    """A driver returns its result; ExperimentResult.write alone writes it."""
+
+    def test_drivers_write_no_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for study in TINY_STUDIES.values():
+            assert study().summary
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("study", sorted(TINY_STUDIES))
+    def test_write_makes_the_directory(self, study, tmp_path):
+        res = TINY_STUDIES[study]()
+        out = tmp_path / "missing" / "nested"
+        res.write(out)
+        oracles.write_trace_csv(tmp_path / "oracle.csv", res.records)
+        assert (out / f"{study}_traces.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        images = {f"{study}_{key}.pgm" for key in res.images}
+        assert {p.name for p in out.iterdir()} == {
+            f"{study}_traces.csv", f"{study}_summary.csv", *images
+        }
+        for name in images:
+            assert read_pgm(out / name).shape == (12, 12)
 
 
 class TestTraceCsvOracle:
