@@ -65,6 +65,14 @@ def _index(value, what: str) -> int:
         raise InvalidInput(f"{what} must be an integer, got {value!r}") from None
 
 
+def _count(value, what: str) -> int:
+    """value as a Python int of at least 1: a dimension, period or budget."""
+    count = _index(value, what)
+    if count < 1:
+        raise InvalidInput(f"{what} must be >= 1, got {count}")
+    return count
+
+
 def _real(value, what: str) -> float:
     """value as a Python float, for real numbers alone: ints, floats and
     numpy reals, but not text, bytes or bools."""
@@ -109,10 +117,7 @@ class FixedPointMap:
     jacobian_spectrum: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
-        dim = _index(self.dim, "map dimension")
-        if dim < 1:
-            raise InvalidInput(f"map dimension must be >= 1, got {self.dim}")
-        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "dim", _count(self.dim, "map dimension"))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.eval(x)
@@ -196,9 +201,7 @@ def chebyshev_roots(rng: EigenRange, period: int) -> np.ndarray:
     exactly so odd periods hit the interval center and period 1 reduces to
     the single root (a + b)/2 with no trigonometric residue.
     """
-    T = _index(period, "period")
-    if T < 1:
-        raise InvalidInput(f"period must be >= 1, got {period}")
+    T = _count(period, "period")
     k = np.arange(T)
     c = np.cos((2 * k + 1) * np.pi / (2 * T))
     c[2 * k + 1 == T] = 0.0
@@ -335,9 +338,7 @@ def run_inertial(
     norm is taken only inside it, and every run stops where it would if
     the norm were taken on every step.
     """
-    max_iters = _index(max_iters, "max_iters")
-    if max_iters < 1:
-        raise InvalidInput(f"max_iters must be >= 1, got {max_iters}")
+    max_iters = _count(max_iters, "max_iters")
     if error_target is not None:
         error_target = _real(error_target, "error_target")
         if not 0.0 <= error_target < math.inf:

@@ -21,6 +21,7 @@ from .core import (
     FixedPointMap,
     InertialSchedule,
     StopReason,
+    _count,
     _index,
     chebyshev_schedule,
     plain_schedule,
@@ -142,9 +143,7 @@ def _compare(
     if 1 in periods:
         schedules["sor"] = chebyshev_schedule(rng, 1)
     for T in periods:
-        if T < 1:
-            raise InvalidInput(f"period must be >= 1, got {T}")
-        if T > 1:
+        if _count(T, "period") > 1:
             schedules[f"cheb{T}"] = chebyshev_schedule(rng, T)
     traces = _run_solvers(fpmap, schedules, x0, iters, x_star, result)
     unnamed = {"period_bound", "per_step", "limit"}.difference(bounds)
@@ -293,7 +292,7 @@ def run_tanh_gram(
     from the traces can be compared against the closed-form bound.
     """
     result = ExperimentResult("tanh_gram")
-    A = gen_gram_matrix(n, std, seed, normalize_to=lam_max)
+    A = gen_gram_matrix(n, std, seed, lam_max=lam_max)
     fpmap = tanh_affine_map(A)
     bounds = ("period_bound", "per_step", "limit")
     rng, _ = _compare(
@@ -334,9 +333,7 @@ def run_ista(
     large factors push coordinates across the shrinkage kink. The exact
     map serves only the FISTA baseline.
     """
-    seeds = _index(seeds, "seeds")
-    if seeds < 1:
-        raise InvalidInput(f"seeds must be >= 1, got {seeds}")
+    seeds = _count(seeds, "seeds")
     record_first = _index(record_first, "record_first")
     if record_first < 0:
         raise InvalidInput(f"record_first must be >= 0, got {record_first}")
@@ -418,9 +415,7 @@ def run_deblur(
     The first seed's images go into result.images; write() saves them as
     PGM files alongside the traces.
     """
-    seeds = _index(seeds, "seeds")
-    if seeds < 1:
-        raise InvalidInput(f"seeds must be >= 1, got {seeds}")
+    seeds = _count(seeds, "seeds")
     result = ExperimentResult("deblur")
     rng = EigenRange(range_a, range_b)
     forward = blur_map(height, width)

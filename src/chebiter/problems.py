@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import FixedPointMap, IterationTrace, StopReason, _aligned_empty, _index, _norm
+from .core import FixedPointMap, IterationTrace, StopReason, _aligned_empty, _count, _index, _norm
 from .errors import (
     DegenerateOperator,
     DimensionError,
@@ -33,14 +33,12 @@ from .spectral import _check_square, _factored_jacobian
 __all__ = [
     "sigmoid",
     "soft_shrink",
-    "softplus",
     "smooth_soft_shrink",
     "smooth_soft_shrink_grad",
     "SparseRecoveryInstance",
     "gen_sparse_instance",
     "ProximalProblem",
     "build_ista",
-    "fista_momentum",
     "fista_run",
     "jacobi_map",
     "JacobiInstance",
@@ -78,22 +76,17 @@ def sigmoid(u):
     return np.where(u >= 0.0, 1.0, e) / (1.0 + e)
 
 
-# Sharpness of the smooth shrinkage, the default of every function that
-# takes one and the value build_ista's map uses.
-_BETA = 100.0
+# The sharpness beta = 100 of the smooth shrinkage, and -beta, as 0-d
+# arrays: a ufunc converts a Python float operand to an array on every
+# call, which cost about 1 us per ISTA step.
+_BETA = np.array(100.0)
+_NEG_BETA = np.array(-100.0)
 
 
 def _check_tau(tau) -> None:
     # Written so that NaN fails it too.
     if not tau >= 0.0:
         raise InvalidInput(f"shrinkage threshold must be >= 0, got {tau}")
-
-
-def _check_beta(beta) -> None:
-    # Written so that NaN fails it too. inf fails as well: |z| (-beta) is
-    # then 0 (-inf), NaN, at z = 0; the exact shrink is soft_shrink.
-    if not 0.0 < beta < math.inf:
-        raise InvalidInput(f"softplus sharpness must be finite and > 0, got {beta}")
 
 
 def soft_shrink(x, tau: float):
@@ -108,19 +101,20 @@ def soft_shrink(x, tau: float):
 _ZERO = np.zeros(())
 
 
-def _softplus_inplace(z: np.ndarray, neg_beta, beta) -> np.ndarray:
-    """softplus(z, beta) written over z itself, which must be a fresh float
-    array, and returned; neg_beta is -beta.
+def _softplus_inplace(z: np.ndarray) -> np.ndarray:
+    """The softplus log(1 + exp(beta z)) / beta, in the overflow-free form
+    max(z, 0) + log1p(exp(-beta |z|)) / beta, written over z itself, which
+    must be a fresh float array, and returned.
 
     Every ufunc gets its output positionally (keyword out= costs a
     dictionary parse per call), except np.maximum, whose positional form
     is deprecated. -beta |z| is -|beta z| bit for bit, since beta > 0.
     """
     t = np.abs(z)
-    np.multiply(t, neg_beta, t)
+    np.multiply(t, _NEG_BETA, t)
     np.exp(t, t)
     np.log1p(t, t)
-    np.divide(t, beta, t)
+    np.divide(t, _BETA, t)
     np.maximum(z, _ZERO, out=z)
     np.add(z, t, z)
     return z
@@ -130,31 +124,19 @@ def _softplus_inplace(z: np.ndarray, neg_beta, beta) -> np.ndarray:
 _SIGNS = np.array([[1.0], [-1.0]])
 
 
-def _shrink(u: np.ndarray, tau, neg_beta, beta) -> np.ndarray:
-    """smooth_soft_shrink of a 1-D float array, without the checks;
-    neg_beta is -beta.
+def _shrink(u: np.ndarray, tau) -> np.ndarray:
+    """smooth_soft_shrink of a 1-D float array, without the checks.
 
     Both softplus shifts run on one (2, n) array: the rows u and -u are
     exact products with +1 and -1, then minus tau.
     """
     z = np.multiply(_SIGNS, u)
     np.subtract(z, tau, z)
-    _softplus_inplace(z, neg_beta, beta)
+    _softplus_inplace(z)
     return z[0] - z[1]
 
 
-def softplus(x, beta: float = _BETA):
-    """Softplus log(1 + exp(beta x)) / beta in the overflow-free form
-    max(x, 0) + log1p(exp(-beta |x|)) / beta."""
-    _check_beta(beta)
-    # A C-ordered copy, since x may be the caller's own array, so that its
-    # flat view is written in place; [()] turns a 0-d result into a numpy
-    # scalar, as a ufunc on a 0-d array gives.
-    x = np.array(x, dtype=float, order="C")
-    return _softplus_inplace(x.reshape(-1), -beta, beta).reshape(x.shape)[()]
-
-
-def smooth_soft_shrink(x, tau: float, beta: float = _BETA):
+def smooth_soft_shrink(x, tau: float):
     """Differentiable surrogate for soft shrinkage built from softplus.
 
     softplus(x - tau) - softplus(-x - tau) is an odd function whose
@@ -163,17 +145,21 @@ def smooth_soft_shrink(x, tau: float, beta: float = _BETA):
     built on it certify a real Jacobian spectrum.
     """
     _check_tau(tau)
-    _check_beta(beta)
     x = np.asarray(x, dtype=float)
-    return _shrink(x.reshape(-1), tau, -beta, beta).reshape(x.shape)[()]
+    # beta |x| overflows to inf for |x| past about 1.8e306, where the
+    # kernel's exp gives 0, the exact value, so that overflow is no warning.
+    with np.errstate(over="ignore"):
+        return _shrink(x.reshape(-1), tau).reshape(x.shape)[()]
 
 
-def smooth_soft_shrink_grad(x, tau: float, beta: float = _BETA):
+def smooth_soft_shrink_grad(x, tau: float):
     """Derivative of smooth_soft_shrink with matching arguments, in [0, 1]."""
     _check_tau(tau)
-    _check_beta(beta)
     x = np.asarray(x, dtype=float)
-    return sigmoid(beta * (x - tau)) + sigmoid(-beta * (x + tau))
+    # As in smooth_soft_shrink, beta x may overflow to +-inf, where sigmoid
+    # is exactly 0 or 1.
+    with np.errstate(over="ignore"):
+        return sigmoid(_BETA * (x - tau)) + sigmoid(_NEG_BETA * (x + tau))
 
 
 @dataclass(frozen=True)
@@ -213,9 +199,7 @@ def gen_sparse_instance(
     noise) so the seed pins the instance bit for bit. The support is
     Bernoulli(density) per coordinate, values standard normal.
     """
-    n, m = _index(n, "n"), _index(m, "m")
-    if n < 1 or m < 1:
-        raise InvalidInput(f"need n, m >= 1, got n={n}, m={m}")
+    n, m = _count(n, "n"), _count(m, "m")
     if not (0.0 <= density <= 1.0):
         raise InvalidInput(f"density must be in [0, 1], got {density}")
     if not 0.0 <= noise_sigma < math.inf:
@@ -239,9 +223,9 @@ class ProximalProblem:
     """Relaxable shrinkage iteration x <- shrink(A x + b) for one instance.
 
     A = I - gamma M^T M is symmetric with gamma = 1 / lambda_max(M^T M),
-    and the shrinkage threshold tau equals gamma (unit regularization
+    and gamma is also the shrinkage threshold (unit regularization
     weight). The fixed-point map uses the smooth shrinkage; fista_run
-    reuses gamma and tau with the exact one.
+    reuses gamma with the exact one.
     """
 
     instance: SparseRecoveryInstance
@@ -249,7 +233,6 @@ class ProximalProblem:
     A: np.ndarray
     b: np.ndarray
     gamma: float
-    tau: float
 
 
 def build_ista(instance: SparseRecoveryInstance) -> ProximalProblem:
@@ -269,8 +252,6 @@ def build_ista(instance: SparseRecoveryInstance) -> ProximalProblem:
     if lam_max <= 0.0:
         raise DegenerateOperator("measurement operator is zero; no step size exists")
     gamma = 1.0 / lam_max
-    tau = gamma
-    _check_tau(tau)  # once here, since the map's step calls _shrink directly
     # A = I - gamma G in G's own aligned buffer, bit for bit what
     # eye(n) - gamma * G gives: 0 - gamma G, then 1 added on the diagonal.
     A = np.multiply(G, gamma, out=G)
@@ -282,39 +263,33 @@ def build_ista(instance: SparseRecoveryInstance) -> ProximalProblem:
         b = gamma * (M.T @ y)
     if not np.isfinite(b).all():
         raise NonFiniteValue("gamma M^T y overflows; the measurements are too large")
-    # tau, -beta and beta as 0-d arrays: a ufunc converts a Python float
-    # operand to an array on every call, which cost about 1 us per step.
-    shrink_args = tuple(np.array(c) for c in (tau, -_BETA, _BETA))
+    # The threshold gamma as a 0-d array, as _BETA is: the step calls
+    # _shrink directly, without smooth_soft_shrink's check, since gamma > 0.
+    tau = np.array(gamma)
 
     def step(x):
         # The same gemv as A @ x, bit for bit, with less call overhead.
         u = A.dot(x)
         u += b
-        return _shrink(u, *shrink_args)
+        return _shrink(u, tau)
 
-    jac, spectrum = _factored_jacobian(A, lambda x: smooth_soft_shrink_grad(A @ x + b, tau))
+    jac, spectrum = _factored_jacobian(A, lambda x: smooth_soft_shrink_grad(A @ x + b, gamma))
     fpmap = FixedPointMap(dim=n, eval=step, jacobian=jac, jacobian_spectrum=spectrum)
-    return ProximalProblem(instance=instance, fpmap=fpmap, A=A, b=b, gamma=gamma, tau=tau)
-
-
-def fista_momentum(t: float) -> float:
-    """Momentum parameter update (1 + sqrt(1 + 4 t^2)) / 2."""
-    return (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+    return ProximalProblem(instance=instance, fpmap=fpmap, A=A, b=b, gamma=gamma)
 
 
 def fista_run(problem: ProximalProblem, iters: int) -> IterationTrace:
     """Accelerated proximal gradient baseline with exact soft shrinkage.
 
-    Uses the step size gamma and threshold tau of the problem build_ista
-    made. Starts from zero with unit momentum. Errors are measured against
-    the true signal of the instance. Returns the trace a run_inertial run
-    would: iters steps, each recorded with factor 1, and stop reason
-    MAX_ITERS, since the baseline always runs its full budget.
+    Uses the step size gamma of the problem build_ista made, which is
+    also the threshold. Starts from zero with unit momentum, updated as
+    t <- (1 + sqrt(1 + 4 t^2)) / 2. Errors are measured against the true
+    signal of the instance. Returns the trace a run_inertial run would:
+    iters steps, each recorded with factor 1, and stop reason MAX_ITERS,
+    since the baseline always runs its full budget.
     """
-    iters = _index(iters, "iters")
-    if iters < 1:
-        raise InvalidInput(f"iters must be >= 1, got {iters}")
-    instance, gamma, tau = problem.instance, problem.gamma, problem.tau
+    iters = _count(iters, "iters")
+    instance, gamma = problem.instance, problem.gamma
     M, y, ref = instance.M, instance.y, instance.x_true
     n = instance.n
 
@@ -323,8 +298,8 @@ def fista_run(problem: ProximalProblem, iters: int) -> IterationTrace:
     t = 1.0
     errors = [_norm(x - ref)]
     for _ in range(iters):
-        x_next = soft_shrink(z - gamma * (M.T @ (M @ z - y)), tau)
-        t_next = fista_momentum(t)
+        x_next = soft_shrink(z - gamma * (M.T @ (M @ z - y)), gamma)
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         z = x_next + ((t - 1.0) / t_next) * (x_next - x)
         x, t = x_next, t_next
         errors.append(_norm(x - ref))
@@ -385,9 +360,7 @@ def gen_jacobi_instance(n: int, seed: int) -> JacobiInstance:
     right-hand side is zero, so the solution is the origin and the error
     of an iterate is just its norm; the start is a standard normal draw.
     """
-    n = _index(n, "n")
-    if n < 1:
-        raise InvalidInput(f"need n >= 1, got {n}")
+    n = _count(n, "n")
     rng = _seeded_rng(seed)
     M = rng.standard_normal((n, n)) * (0.03 * math.sqrt(512.0 / n))
     P = np.eye(n) + M.T @ M
@@ -396,17 +369,15 @@ def gen_jacobi_instance(n: int, seed: int) -> JacobiInstance:
 
 
 def gen_gram_matrix(
-    n: int, std: float, seed: int, normalize_to: Optional[float] = None
+    n: int, std: float, seed: int, lam_max: Optional[float] = None
 ) -> np.ndarray:
     """Random Gram matrix M^T M with M an n x n normal draw scaled by std.
 
-    normalize_to rescales the result so its largest eigenvalue equals
-    that value exactly, which pins the spectral gap at small n where a
-    raw draw would land short of the intended range.
+    lam_max rescales the result so its largest eigenvalue equals that
+    value exactly, which pins the spectral gap at small n where a raw
+    draw would land short of the intended range.
     """
-    n = _index(n, "n")
-    if n < 1:
-        raise InvalidInput(f"need n >= 1, got {n}")
+    n = _count(n, "n")
     if not 0.0 < std < math.inf:
         raise InvalidInput(f"std must be finite and > 0, got {std}")
     rng = _seeded_rng(seed)
@@ -417,13 +388,13 @@ def gen_gram_matrix(
         G = np.matmul(M.T, M, out=_aligned_empty((n, n)))
     if not np.isfinite(G).all():
         raise NonFiniteValue(f"gram matrix overflows at std={std}")
-    if normalize_to is not None:
-        if not normalize_to > 0.0:
-            raise InvalidInput(f"normalize_to must be > 0, got {normalize_to}")
-        lam_max = float(np.linalg.eigvalsh(G)[-1])
-        if lam_max <= 0.0:
+    if lam_max is not None:
+        if not lam_max > 0.0:
+            raise InvalidInput(f"lam_max must be > 0, got {lam_max}")
+        top = float(np.linalg.eigvalsh(G)[-1])
+        if top <= 0.0:
             raise DegenerateOperator("gram matrix has no positive eigenvalues")
-        G *= normalize_to / lam_max
+        G *= lam_max / top
     return G
 
 
@@ -506,10 +477,7 @@ _BLUR_WEIGHT = 0.1
 
 
 def _check_image_shape(height: int, width: int) -> Tuple[int, int]:
-    height, width = _index(height, "height"), _index(width, "width")
-    if height < 1 or width < 1:
-        raise InvalidInput(f"need height, width >= 1, got {height}, {width}")
-    return height, width
+    return _count(height, "height"), _count(width, "width")
 
 
 def _band(m: int) -> np.ndarray:

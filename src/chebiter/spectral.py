@@ -20,7 +20,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import EigenRange, FixedPointMap, InertialSchedule, _aligned_empty, _index, _norm
+from .core import EigenRange, FixedPointMap, InertialSchedule, _aligned_empty, _count, _norm
 from .errors import (
     DimensionError,
     InvalidInput,
@@ -81,9 +81,7 @@ def _period_exponent(rng: EigenRange, period: int) -> float:
     Checks T >= 1 and a > 0. A zero-width range gives t = inf, which
     makes each bound exactly 0.
     """
-    T = _index(period, "period")
-    if T < 1:
-        raise InvalidInput(f"period must be >= 1, got {period}")
+    T = _count(period, "period")
     if rng.a <= 0.0:
         raise InvalidRange(f"contraction bound needs a > 0, got range ({rng.a}, {rng.b})")
     if rng.a == rng.b:

@@ -245,7 +245,7 @@ def test_criterion_09_packaged_maps_contract():
     fpmap = jacobi_map(inst.P, np.zeros(64))
     ranges["jacobi"] = estimate_eigen_range(fpmap, np.zeros(64))
 
-    A = gen_gram_matrix(128, 0.022, 0, normalize_to=0.97)
+    A = gen_gram_matrix(128, 0.022, 0, lam_max=0.97)
     ranges["tanh-gram"] = estimate_eigen_range(tanh_affine_map(A), np.zeros(128))
 
     pm = power_map()

@@ -354,6 +354,12 @@ class TestCliExitCodes:
         cfg.write_text("map = frob\n")
         assert main(["toy", "--config", str(cfg)]) == EX_CONFIG
 
+    def test_gram_top_eigenvalue_names_its_flag(self, tmp_path, capsys):
+        argv = ["toy", "--map", "gram", "--lam-max", "-1", "--out", str(tmp_path)]
+        assert main(argv) == EX_USAGE
+        assert "error: lam_max must be > 0, got -1.0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command", ["ista", "deblur"])
     @pytest.mark.parametrize("seeds", ["0", "-1"])
     def test_no_seeds(self, command, seeds, tmp_path, capsys):
@@ -536,15 +542,40 @@ PACKAGE_NAMES = """
     period_contraction_bound period_polynomial period_spectral_radius
     real_spectrum_via_similarity JacobiInstance
     ProximalProblem SparseRecoveryInstance blur_map build_ista deblur_map
-    fista_momentum fista_run gen_gram_matrix gen_jacobi_instance gen_sparse_instance
+    fista_run gen_gram_matrix gen_jacobi_instance gen_sparse_instance
     gen_synthetic_image jacobi_map power_map sigmoid smooth_soft_shrink
-    smooth_soft_shrink_grad soft_shrink softplus tanh_affine_map tanh_equation_map
+    smooth_soft_shrink_grad soft_shrink tanh_affine_map tanh_equation_map
     TRACE_HEADER TraceRecord load_config parse_config write_pgm
     write_trace_csv ExperimentResult bounds_rows run_deblur run_ista run_jacobi run_tanh_gram
     run_tanh_solve run_toy_power ChebiterError ConfigError DegenerateOperator DimensionError
     InvalidInput InvalidRange NonFiniteValue NotAFixedPoint
     NotConverged NotSymmetric SingularDiagonal SpectrumNotCertifiedReal __version__
 """.split()
+
+# The public parameters of each exported function and the fields of each
+# exported dataclass: every one is a knob to document and keep working.
+KNOBS = {
+    # core
+    "FixedPointMap": 4, "EigenRange": 2, "InertialSchedule": 1, "IterationTrace": 4,
+    "chebyshev_roots": 2, "chebyshev_schedule": 2, "plain_schedule": 0, "inertial_step": 3,
+    "run_inertial": 6,
+    # spectral
+    "period_polynomial": 2, "period_contraction_bound": 2, "per_step_rate": 2,
+    "per_step_rate_limit": 1, "period_spectral_radius": 2, "jacobian_fd": 2,
+    "real_spectrum_via_similarity": 2, "estimate_eigen_range": 3,
+    # problems
+    "sigmoid": 1, "soft_shrink": 2, "smooth_soft_shrink": 2, "smooth_soft_shrink_grad": 2,
+    "SparseRecoveryInstance": 3, "gen_sparse_instance": 5, "ProximalProblem": 5,
+    "build_ista": 1, "fista_run": 2, "jacobi_map": 2, "JacobiInstance": 2,
+    "gen_jacobi_instance": 2, "gen_gram_matrix": 4, "tanh_affine_map": 1,
+    "tanh_equation_map": 1, "power_map": 0, "blur_map": 2, "deblur_map": 4,
+    "gen_synthetic_image": 3,
+    # traceio
+    "TraceRecord": 4, "write_trace_csv": 2, "write_pgm": 2, "parse_config": 1, "load_config": 1,
+    # experiments
+    "ExperimentResult": 6, "bounds_rows": 3, "run_jacobi": 4, "run_toy_power": 2,
+    "run_tanh_solve": 2, "run_tanh_gram": 6, "run_ista": 9, "run_deblur": 8,
+}
 
 
 class TestSurface:
@@ -569,22 +600,22 @@ class TestSurface:
         assert set(settings) == {k.replace("-", "_") for k in CLI_FLAGS[command]}
 
     def test_package_exports(self):
-        assert len(PACKAGE_NAMES) == 66
+        assert len(PACKAGE_NAMES) == 64
         assert sorted(chebiter.__all__) == sorted(PACKAGE_NAMES)
         for name in PACKAGE_NAMES:
             assert hasattr(chebiter, name), name
 
     def test_parameter_and_field_count(self):
-        # Every public parameter and dataclass field is a knob to document
-        # and keep working; a new one should be a visible choice.
-        count = 0
+        # Pinned name by name, so that a new or deleted knob shows in the
+        # table as a visible choice.
+        count = {}
         for name in chebiter.__all__:
             obj = getattr(chebiter, name)
             if dataclasses.is_dataclass(obj):
-                count += len(dataclasses.fields(obj))
+                count[name] = len(dataclasses.fields(obj))
             elif inspect.isfunction(obj):
-                count += len(inspect.signature(obj).parameters)
-        assert count == 140
+                count[name] = len(inspect.signature(obj).parameters)
+        assert count == KNOBS
 
     def test_wrapped_step_sees_every_attempt(self, monkeypatch):
         # A benchmark tracer replaces core.inertial_step to count attempted

@@ -26,7 +26,6 @@ from chebiter import (
     deblur_map,
     estimate_eigen_range,
     experiments,
-    fista_momentum,
     fista_run,
     gen_gram_matrix,
     gen_jacobi_instance,
@@ -43,7 +42,6 @@ from chebiter import (
     smooth_soft_shrink,
     smooth_soft_shrink_grad,
     soft_shrink,
-    softplus,
     spectral,
     tanh_affine_map,
     tanh_equation_map,
@@ -106,34 +104,44 @@ class TestShrinkage:
             soft_shrink(x, -0.1)
 
     def test_softplus_reference_and_stability(self):
-        assert float(softplus(0.0, 100.0)) == pytest.approx(SOFTPLUS_0_100, rel=1e-15)
-        assert float(softplus(1000.0, 100.0)) == 1000.0
-        assert float(softplus(-1000.0, 100.0)) == 0.0
-        with pytest.raises(InvalidInput):
-            softplus(1.0, 0.0)
+        # smooth_soft_shrink(x, tau) = softplus(x - tau) - softplus(-x - tau),
+        # and the softplus of -2000 or less is exactly 0
+        assert float(smooth_soft_shrink(1000.0, 1000.0)) == pytest.approx(SOFTPLUS_0_100, rel=1e-15)
+        assert float(smooth_soft_shrink(3000.0, 1000.0)) == 2000.0
+        assert float(smooth_soft_shrink(-3000.0, 1000.0)) == -2000.0
+
+    def test_huge_inputs_give_exact_values_without_warning(self):
+        # beta |x| overflows past |x| ~ 1.8e306, where the exact values are
+        # x -+ tau rounded and slope 1; the suite turns numpy warnings into
+        # errors
+        for tau in (0.0, 0.1):
+            x = np.array([1e306, -1e306, 2e306, -2e306, 1e308, -1e308, np.inf, -np.inf])
+            assert smooth_soft_shrink(x, tau).tobytes() == soft_shrink(x, tau).tobytes()
+            assert smooth_soft_shrink_grad(x, tau).tolist() == [1.0] * len(x)
+            for v in x:
+                assert float(smooth_soft_shrink(v, tau)) == float(soft_shrink(v, tau))
+                assert float(smooth_soft_shrink_grad(v, tau)) == 1.0
 
     def test_odd_variant_is_odd_with_global_envelope(self):
-        tau, beta = 0.5, 100.0
+        tau = 0.5
         x = np.linspace(-50.0, 50.0, 20001)
-        f = smooth_soft_shrink(x, tau, beta)
-        assert np.max(np.abs(f + smooth_soft_shrink(-x, tau, beta))) == 0.0
-        assert float(smooth_soft_shrink(0.0, tau, beta)) == 0.0
+        f = smooth_soft_shrink(x, tau)
+        assert np.max(np.abs(f + smooth_soft_shrink(-x, tau))) == 0.0
+        assert float(smooth_soft_shrink(0.0, tau)) == 0.0
         dev = np.abs(f - soft_shrink(x, tau))
         assert np.max(dev) <= ENVELOPE_100 + 1e-15
 
     def test_gradient_ranges(self):
-        tau, beta = 0.3, 100.0
+        tau = 0.3
         x = np.linspace(-20, 20, 5001)
-        g_odd = smooth_soft_shrink_grad(x, tau, beta)
+        g_odd = smooth_soft_shrink_grad(x, tau)
         assert np.all(g_odd > 0.0) and np.all(g_odd <= 1.0)
 
     def test_gradient_matches_finite_differences(self):
-        tau, beta, h = 0.4, 100.0, 1e-6
+        tau, h = 0.4, 1e-6
         x = np.linspace(-2.0, 2.0, 401)
-        fd = (
-            smooth_soft_shrink(x + h, tau, beta) - smooth_soft_shrink(x - h, tau, beta)
-        ) / (2 * h)
-        g = smooth_soft_shrink_grad(x, tau, beta)
+        fd = (smooth_soft_shrink(x + h, tau) - smooth_soft_shrink(x - h, tau)) / (2 * h)
+        g = smooth_soft_shrink_grad(x, tau)
         assert np.max(np.abs(fd - g)) <= 1e-6
 
 
@@ -184,17 +192,17 @@ def same_bits(got, want):
 
 
 class TestShrinkageBitIdentity:
-    # The one-pass forms must reproduce the two-pass formulas bit for bit.
-    @pytest.mark.parametrize("tau,beta", [(0.5, 100.0), (0.0, 100.0), (0.03, 7.0)])
+    # The one-pass form must reproduce the two-pass formula, at the
+    # library's sharpness beta = 100, bit for bit. At tau = 0.0 the kernel
+    # gets x - 0.0 and -x - 0.0, that is x and -x exactly, so that case
+    # covers the softplus kernel itself on every input.
+    @pytest.mark.parametrize("tau,beta", [(0.5, 100.0), (0.0, 100.0), (0.03, 100.0)])
     def test_matches_two_pass_formulas(self, tau, beta):
         for x in shrink_inputs(tau):
             before = x.copy()
-            for got, want in (
-                (softplus(x, beta), softplus_two_pass(x, beta)),
-                (smooth_soft_shrink(x, tau, beta), smooth_soft_shrink_two_pass(x, tau, beta)),
-            ):
-                assert type(got) is type(want) and np.shape(got) == np.shape(want)
-                assert same_bits(got, want), x
+            got, want = smooth_soft_shrink(x, tau), smooth_soft_shrink_two_pass(x, tau, beta)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert same_bits(got, want), x
             assert x.tobytes() == before.tobytes()
 
     def test_python_scalars_and_lists(self):
@@ -204,84 +212,67 @@ class TestShrinkageBitIdentity:
     def test_checks_kept(self):
         with pytest.raises(InvalidInput):
             smooth_soft_shrink(np.ones(3), -0.1)
-        with pytest.raises(InvalidInput):
-            smooth_soft_shrink(np.ones(3), 0.1, beta=0.0)
 
     def test_ista_step_is_the_public_shrink(self):
         # build_ista's map runs the shrinkage kernel without the public
-        # wrapper; its bits must be smooth_soft_shrink(A x + b, tau)'s.
+        # wrapper; its bits must be smooth_soft_shrink(A x + b, gamma)'s.
         inst = gen_sparse_instance(256, 128, 0.1, 0.1, seed=0)
         prob = build_ista(inst)
         iterate = run_inertial(
             prob.fpmap, plain_schedule(), np.zeros(256), inst.x_true, 40
         ).x_final
-        # with M = I, u = A 0 + b = gamma y, so y = +-1 puts u on +-tau exactly
+        # with M = I, u = A 0 + b = gamma y, so y = +-1 puts u on the
+        # threshold +-gamma exactly
         y = np.array([1.0, -1.0, 0.5, 0.0, 2.0])
         eye = build_ista(SparseRecoveryInstance(M=np.eye(5), y=y, x_true=np.zeros(5)))
-        assert np.abs(eye.A @ np.zeros(5) + eye.b)[:2].tolist() == [eye.tau, eye.tau]
+        assert np.abs(eye.A @ np.zeros(5) + eye.b)[:2].tolist() == [eye.gamma, eye.gamma]
         for prob, x in ((prob, np.zeros(256)), (prob, iterate), (eye, np.zeros(5))):
-            want = smooth_soft_shrink(prob.A @ x + prob.b, prob.tau)
+            want = smooth_soft_shrink(prob.A @ x + prob.b, prob.gamma)
             assert prob.fpmap.eval(x).tobytes() == want.tobytes()
 
 
 class TestShrinkageParameters:
-    # NaN fails every parameter check, and so does beta = inf, which would
-    # give NaN at 0 (|z| (-beta) = 0 (-inf)); the exact shrink is soft_shrink.
+    # NaN fails every parameter check.
     def test_soft_shrink_rejects_nan_threshold(self):
         with pytest.raises(InvalidInput):
             soft_shrink(np.ones(3), np.nan)
 
-    def test_softplus_rejects_nan_sharpness(self):
-        with pytest.raises(InvalidInput):
-            softplus(np.ones(3), np.nan)
-
     def test_smooth_soft_shrink_rejects_nan(self):
         with pytest.raises(InvalidInput):
             smooth_soft_shrink(np.ones(3), np.nan)
-        with pytest.raises(InvalidInput):
-            smooth_soft_shrink(np.ones(3), 0.1, beta=np.nan)
 
     def test_smooth_soft_shrink_grad_rejects_nan(self):
         with pytest.raises(InvalidInput):
             smooth_soft_shrink_grad(np.ones(3), np.nan)
-        for beta in (np.nan, 0.0, -1.0):
-            with pytest.raises(InvalidInput):
-                smooth_soft_shrink_grad(np.ones(3), 0.1, beta=beta)
 
     def test_gram_generator_rejects_nan_std(self):
         for std in (np.nan, np.inf, 0.0, -0.1):
             with pytest.raises(InvalidInput, match="std must be finite and > 0"):
                 gen_gram_matrix(8, std, seed=0)
         with pytest.raises(InvalidInput):
-            gen_gram_matrix(8, 0.1, seed=0, normalize_to=np.nan)
+            gen_gram_matrix(8, 0.1, seed=0, lam_max=np.nan)
         # a finite std whose Gram overflows is refused before eigvalsh, with
         # no numpy warning (the suite turns those into errors)
         for std in (1e200, 1e308):
-            for normalize_to in (None, 0.97):
+            for lam_max in (None, 0.97):
                 with pytest.raises(NonFiniteValue, match="gram matrix overflows"):
-                    gen_gram_matrix(8, std, seed=0, normalize_to=normalize_to)
-
-    def test_infinite_sharpness_is_refused(self):
-        for call in (
-            lambda: softplus(0.0, np.inf),
-            lambda: smooth_soft_shrink([0.5, -0.5], 0.5, beta=np.inf),
-            lambda: smooth_soft_shrink_grad(0.5, 0.5, beta=np.inf),
-        ):
-            with pytest.raises(InvalidInput, match="finite"):
-                call()
+                    gen_gram_matrix(8, std, seed=0, lam_max=lam_max)
 
 
 class TestNormsMatchLinalg:
     def test_fista_errors(self):
         inst = gen_sparse_instance(128, 64, 0.1, 0.1, seed=4)
         problem = build_ista(inst)
-        gamma, tau = problem.gamma, problem.tau
+        gamma = problem.gamma
         x = np.zeros(inst.n)
         z, t = x.copy(), 1.0
         errors = [float(np.linalg.norm(x - inst.x_true))]
         for _ in range(60):
-            x_next = soft_shrink(z - gamma * (inst.M.T @ (inst.M @ z - inst.y)), tau)
-            t_next = fista_momentum(t)
+            x_next = soft_shrink(z - gamma * (inst.M.T @ (inst.M @ z - inst.y)), gamma)
+            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            if t == 1.0:
+                # the first momentum update from t = 1 is the golden ratio
+                assert t_next == GOLDEN
             z = x_next + ((t - 1.0) / t_next) * (x_next - x)
             x, t = x_next, t_next
             errors.append(float(np.linalg.norm(x - inst.x_true)))
@@ -406,7 +397,6 @@ class TestBuildIsta:
         inst = SparseRecoveryInstance(M=np.eye(4), y=y, x_true=np.zeros(4))
         prob = build_ista(inst)
         assert prob.gamma == pytest.approx(1.0, rel=1e-10)
-        assert prob.tau == pytest.approx(1.0, rel=1e-10)
         assert np.max(np.abs(prob.A)) <= 1e-10
         x_star = prob.fpmap(np.zeros(4))
         assert x_star == pytest.approx([1.0, -1.0, 0.0, 0.0], abs=2e-2)
@@ -510,8 +500,8 @@ class TestOperandLayout:
             inst = gen_sparse_instance(n, m, 0.1, 0.1, seed=1)
             assert inst.M.ctypes.data % 64 == 0
             assert build_ista(inst).A.ctypes.data % 64 == 0
-        for normalize_to in (None, 0.97):
-            assert gen_gram_matrix(33, 0.1, seed=0, normalize_to=normalize_to).ctypes.data % 64 == 0
+        for lam_max in (None, 0.97):
+            assert gen_gram_matrix(33, 0.1, seed=0, lam_max=lam_max).ctypes.data % 64 == 0
 
     def test_ista_traces_do_not_depend_on_operand_offset(self, monkeypatch):
         # OpenBLAS's matrix-vector kernels load differently at each offset
@@ -540,9 +530,6 @@ class TestOperandLayout:
 
 
 class TestFista:
-    def test_momentum_reference(self):
-        assert fista_momentum(1.0) == GOLDEN
-
     def test_error_curve_shape_and_progress(self):
         inst = gen_sparse_instance(128, 64, 0.1, 0.1, seed=4)
         res = fista_run(build_ista(inst), 100)
@@ -629,7 +616,7 @@ class TestGramGenerator:
         assert np.mean(bottoms) == pytest.approx(1.0, abs=5e-3)
 
     def test_normalization_pins_top_eigenvalue(self):
-        G = gen_gram_matrix(128, 0.022, seed=0, normalize_to=0.97)
+        G = gen_gram_matrix(128, 0.022, seed=0, lam_max=0.97)
         lam = np.linalg.eigvalsh(G)
         assert lam[-1] == pytest.approx(0.97, abs=1e-10)
         assert lam[0] >= 0.0 - 1e-12
@@ -638,7 +625,7 @@ class TestGramGenerator:
         with pytest.raises(InvalidInput):
             gen_gram_matrix(8, -0.1, seed=0)
         with pytest.raises(InvalidInput):
-            gen_gram_matrix(8, 0.1, seed=0, normalize_to=0.0)
+            gen_gram_matrix(8, 0.1, seed=0, lam_max=0.0)
 
 
 class TestTanhMaps:
