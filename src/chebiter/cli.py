@@ -6,7 +6,8 @@ that directory, so an I/O failure prints no summary. Reruns with
 identical arguments reproduce the output files byte for byte.
 
 A subcommand's flags and config keys are the keyword parameters of its
-driver, typed by their defaults; a tuple default takes a comma list.
+driver, typed by their defaults; a tuple default takes a comma list. A
+key that the study chosen by --map does not take is refused.
 Settings resolve in three layers: the driver's defaults, then a --config
 file of flat key = value lines, then explicit flags. Exit codes: 0 on
 success (a diverging run prints a warning but still exits 0), 2 on I/O
@@ -170,11 +171,21 @@ def _print_result(result: ExperimentResult, out_dir: Optional[str]) -> None:
         print(f"warning: {message}", file=sys.stderr)
 
 
-def _dispatch(command: str, settings: Dict[str, object], out_dir: Optional[str]) -> None:
+def _dispatch(args: argparse.Namespace, settings: Dict[str, object]) -> None:
+    """Run the study that --map picks on the settings, refusing any it
+    does not take: a stray flag is a usage error, a stray config key a
+    config error."""
+    command, out_dir = args.command, args.out
     drivers = STUDIES[command][1]
-    name = drivers[settings.pop("map", next(iter(drivers)))]
-    kwargs = {key: value for key, value in settings.items() if key in KEYWORDS[name]}
-    result = globals()[name](**kwargs)
+    choice = settings.pop("map", next(iter(drivers)))
+    name = drivers[choice]
+    for key in settings:
+        if key in KEYWORDS[name]:
+            continue
+        if key in vars(args):
+            raise _UsageError(f"--{key.replace('_', '-')} does not apply to --map {choice}")
+        raise ConfigError(f"config key {key!r} does not apply to map {choice!r}")
+    result = globals()[name](**settings)
     if command == "bounds":
         path = None
         if out_dir is not None:
@@ -191,14 +202,12 @@ def _dispatch(command: str, settings: Dict[str, object], out_dir: Optional[str])
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _dispatch(args, merge_settings(args.command, args))
+    except SystemExit as exc:  # --help / --version
+        return exc.code if isinstance(exc.code, int) else EX_OK
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except SystemExit as exc:  # --help / --version
-        return exc.code if isinstance(exc.code, int) else EX_OK
-    try:
-        settings = merge_settings(args.command, args)
-        _dispatch(args.command, settings, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EX_CONFIG

@@ -10,7 +10,6 @@ __all__ = [
     "NonFiniteValue",
     "NotAFixedPoint",
     "NotConverged",
-    "NotSymmetric",
     "SingularDiagonal",
     "SpectrumNotCertifiedReal",
 ]
@@ -30,10 +29,6 @@ class DimensionError(ChebiterError, ValueError):
 
 class NonFiniteValue(ChebiterError, ArithmeticError):
     """A computation produced NaN or infinity where finite values are required."""
-
-
-class NotSymmetric(ChebiterError, ValueError):
-    """Matrix fails the symmetry tolerance of a symmetric-only operation."""
 
 
 class NotAFixedPoint(ChebiterError, ValueError):

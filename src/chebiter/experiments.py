@@ -96,9 +96,12 @@ def _iters_to(errors: np.ndarray, threshold: float) -> int:
     return int(hits[0]) if hits.size else -1
 
 
-def _warn_if_diverged(result: ExperimentResult, run_id: str, trace) -> None:
+def _record(result: ExperimentResult, run_id: str, solver: str, trace, keep: bool = True) -> None:
+    """Warn if the run diverged, and append its trace record if keep."""
     if trace.stop_reason is StopReason.DIVERGENCE:
         result.warnings.append(f"{result.name}: run {run_id} diverged after {trace.steps} steps")
+    if keep:
+        result.records.append(TraceRecord(run_id, solver, trace.errors, trace.factors_used))
 
 
 def _run_solvers(
@@ -113,10 +116,8 @@ def _run_solvers(
     """Run each named schedule, append trace records, return the traces."""
     traces = {}
     for solver, sched in schedules.items():
-        run_id = f"{run_prefix}{solver}"
         tr = run_inertial(fpmap, sched, x0, x_ref, iters)
-        _warn_if_diverged(result, run_id, tr)
-        result.records.append(TraceRecord(run_id, solver, tr.errors, tr.factors_used))
+        _record(result, f"{run_prefix}{solver}", solver, tr)
         traces[solver] = tr
     return traces
 
@@ -338,8 +339,6 @@ def run_ista(
     if record_first < 0:
         raise InvalidInput(f"record_first must be >= 0, got {record_first}")
     result = ExperimentResult("ista")
-    hit_counts = []
-    fista_wins = 0
     for seed in range(seeds):
         inst = gen_sparse_instance(n, m, density, noise, seed)
         prob = build_ista(inst)
@@ -355,38 +354,34 @@ def run_ista(
         cheb_tr = run_inertial(
             prob.fpmap, sched, x0, inst.x_true, iters, None if seed < record_first else target
         )
-        _warn_if_diverged(result, f"seed{seed}/cheb{period}", cheb_tr)
-        hit = _iters_to(cheb_tr.errors, target)
-        hit_counts.append(hit if hit >= 0 else iters + 1)
         fista_tr = fista_run(prob, fista_iters)
+        # Only the scheduled run can diverge: plain's divergence raised
+        # above, and the baseline always runs its full budget.
+        runs = {"plain": plain_tr, f"cheb{period}": cheb_tr, "fista": fista_tr}
+        for solver, tr in runs.items():
+            _record(result, f"seed{seed}/{solver}", solver, tr, seed < record_first)
         plain_at = float(plain_tr.errors[min(fista_iters, plain_tr.steps)])
         fista_at = float(fista_tr.errors[-1])
-        win = fista_at < plain_at
-        fista_wins += int(win)
-        if seed < record_first:
-            runs = {"plain": plain_tr, f"cheb{period}": cheb_tr, "fista": fista_tr}
-            for solver, tr in runs.items():
-                result.records.append(
-                    TraceRecord(f"seed{seed}/{solver}", solver, tr.errors, tr.factors_used)
-                )
         result.summary.append(
             {
                 "seed": seed,
                 "range_a": rng.a,
                 "range_b": rng.b,
                 "target_error": target,
-                "cheb_iters_to_target": hit,
+                "cheb_iters_to_target": _iters_to(cheb_tr.errors, target),
                 "plain_error_at_baseline": plain_at,
                 "fista_error_at_baseline": fista_at,
-                "fista_win": int(win),
+                "fista_win": int(fista_at < plain_at),
             }
         )
-    hits = np.asarray(hit_counts, dtype=float)
+    # A run that misses the target counts as one step past the budget.
+    hits = np.array([row["cheb_iters_to_target"] for row in result.summary], dtype=float)
+    hits[hits < 0] = iters + 1
     result.headline = {
         "median_iters_to_target": float(np.median(hits)),
         "max_iters_to_target": float(np.max(hits)),
         "budget": float(iters),
-        "fista_win_rate": fista_wins / seeds,
+        "fista_win_rate": sum(row["fista_win"] for row in result.summary) / seeds,
     }
     return result
 
@@ -420,7 +415,6 @@ def run_deblur(
     rng = EigenRange(range_a, range_b)
     forward = blur_map(height, width)
     schedules = {"plain": plain_schedule(), f"cheb{period}": chebyshev_schedule(rng, period)}
-    wins = 0
     for seed in range(seeds):
         img = gen_synthetic_image(height, width, seed)
         x_true = img.ravel()
@@ -431,8 +425,6 @@ def run_deblur(
         finals = {}
         for solver, tr in traces.items():
             finals[solver] = float(np.mean((tr.x_final - x_true) ** 2))
-        win = finals[f"cheb{period}"] < finals["plain"]
-        wins += int(win)
         result.summary.append(
             {
                 "seed": seed,
@@ -442,7 +434,7 @@ def run_deblur(
                 "measured_b": measured.b,
                 "mse_plain": finals["plain"],
                 "mse_cheb": finals[f"cheb{period}"],
-                "cheb_win": int(win),
+                "cheb_win": int(finals[f"cheb{period}"] < finals["plain"]),
             }
         )
         if seed == 0:
@@ -450,5 +442,6 @@ def run_deblur(
             result.images["observed"] = y.reshape(height, width)
             for solver, tr in traces.items():
                 result.images[solver] = tr.x_final.reshape(height, width)
+    wins = sum(row["cheb_win"] for row in result.summary)
     result.headline = {"wins": float(wins), "seeds": float(seeds)}
     return result

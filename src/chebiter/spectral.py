@@ -28,7 +28,6 @@ from .errors import (
     NonFiniteValue,
     NotAFixedPoint,
     NotConverged,
-    NotSymmetric,
     SpectrumNotCertifiedReal,
 )
 
@@ -39,12 +38,11 @@ __all__ = [
     "per_step_rate_limit",
     "period_spectral_radius",
     "jacobian_fd",
-    "real_spectrum_via_similarity",
     "estimate_eigen_range",
 ]
 
 # Largest n the dense paths accept: the similarity spectrum of a dense A
-# (real_spectrum_via_similarity's too), the dense path of
+# (the spectrum hook of a map that gives A as an array), the dense path of
 # estimate_eigen_range and the jacobian hook of a map that gives A as an
 # operator, which assembles A from its matvec. Their O(n^2) memory and
 # O(n^3) time were only checked up to this size. A map that gives A as a
@@ -176,35 +174,15 @@ def _check_dense_size(n: int) -> None:
         raise InvalidInput(f"dense solver limited to n <= {MAX_DENSE_DIM}, got n = {n}")
 
 
-def _check_symmetric(S, what: str) -> np.ndarray:
-    """A finite square matrix within the dense size cap whose relative
-    asymmetry |S - S^T|_F / |S|_F is at most _REL_ASYM_TOL."""
-    S = _check_square(S, what)
-    _check_dense_size(S.shape[0])
-    asym = _rel_asymmetry(S)
-    if asym > _REL_ASYM_TOL:
-        raise NotSymmetric(
-            f"{what} has relative asymmetry {asym:.3e} > {_REL_ASYM_TOL:.1e}"
-        )
-    return S
-
-
-def real_spectrum_via_similarity(A, q) -> np.ndarray:
-    """Spectrum of diag(q) @ A for symmetric A and nonnegative q, ascending.
+def _similarity_spectrum(A, q) -> np.ndarray:
+    """Real eigenvalues of diag(q) A, including its smallest and largest,
+    for symmetric A and nonnegative q; q is checked on every call.
 
     Although diag(q) A is not symmetric, its spectrum is real: rows where
     q_i = 0 are zero rows, so after moving them last the matrix is block
     triangular with a zero block, contributing exact zero eigenvalues;
     the remaining block D A' (D = diag of the positive q_i) is similar to
-    the symmetric matrix D^(1/2) A' D^(1/2) via D^(1/2). The returned
-    values are the eigenvalues of that symmetric matrix plus the zeros.
-    """
-    return _similarity_spectrum(_check_symmetric(A, "A"), q)
-
-
-def _similarity_spectrum(A, q) -> np.ndarray:
-    """Real eigenvalues of diag(q) A, including its smallest and largest,
-    for symmetric A and nonnegative q; q is checked on every call.
+    the symmetric matrix D^(1/2) A' D^(1/2) via D^(1/2).
 
     How A is given picks the algorithm. None, the identity, gets q itself,
     in its order. A dense ndarray, already known to be a finite square

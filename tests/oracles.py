@@ -1,9 +1,8 @@
 """Independent oracles and test-only helpers used by the test suite: an
 eigenvalue oracle, a checked symmetric eigensolver, a row-at-a-time trace
-CSV writer, the two-branch
-sigmoid, a slice-sum blur and the dense blur matrix, readers for the
-trace CSV and PGM files the package writes, and the Chebyshev
-polynomials.
+CSV writer, the two-branch sigmoid, a slice-sum blur and the dense blur
+matrix, readers for the trace CSV and PGM files the package writes, and
+the Chebyshev polynomials.
 
 The eigenvalue oracle deliberately avoids the code paths under test:
 eigenvalues are recovered as roots of the characteristic polynomial,
@@ -18,10 +17,13 @@ repeated roots away from the polynomial solve. Validated against
 matrices with known spectra to about 5e-10 for n <= 16 when eigenvalue
 gaps are at least 0.02.
 
-symmetric_eigenvalues is numpy's eigvalsh behind the package's own
-checks on a symmetric matrix (square, finite, within the dense size cap,
-relative asymmetry at most 1e-10), which real_spectrum_via_similarity
-applies to its A. The tests use it for spectra of matrices they build.
+symmetric_eigenvalues is numpy's eigvalsh behind the package's square,
+finite and dense-size checks and a relative asymmetry bound of 1e-10, the
+tolerance below which a map certifies a dense A; beyond it, it
+raises its own NotSymmetric. The tests use it for spectra of matrices
+they build. certified_spectrum is the package's own similarity spectrum
+of diag(q) A, through the hook that spectral._factored_jacobian builds,
+for tests that take it as the dense reference.
 
 The trace writer is the plain form: one csv writerow call per iterate.
 The package's writer must match it byte for byte.
@@ -49,7 +51,13 @@ import csv
 import numpy as np
 
 from chebiter.errors import InvalidInput
-from chebiter.spectral import _check_symmetric
+from chebiter.spectral import (
+    _REL_ASYM_TOL,
+    _check_dense_size,
+    _check_square,
+    _factored_jacobian,
+    _rel_asymmetry,
+)
 from chebiter.traceio import TraceRecord
 
 TRACE_HEADER = ("run_id", "solver", "k", "error", "omega")
@@ -94,6 +102,21 @@ def brute_real_eigs_sorted(M, polish=6, imag_tol=1e-8):
     return np.sort(lam.real)
 
 
+class NotSymmetric(ValueError):
+    """Matrix fails the symmetry tolerance of symmetric_eigenvalues."""
+
+
+def _check_symmetric(S, what: str) -> np.ndarray:
+    """A finite square matrix within the dense size cap whose relative
+    asymmetry |S - S^T|_F / |S|_F is at most _REL_ASYM_TOL."""
+    S = _check_square(S, what)
+    _check_dense_size(S.shape[0])
+    asym = _rel_asymmetry(S)
+    if asym > _REL_ASYM_TOL:
+        raise NotSymmetric(f"{what} has relative asymmetry {asym:.3e} > {_REL_ASYM_TOL:.1e}")
+    return S
+
+
 def symmetric_eigenvalues(S):
     """Eigenvalues of a symmetric matrix, ascending.
 
@@ -103,6 +126,15 @@ def symmetric_eigenvalues(S):
     """
     S = _check_symmetric(S, "matrix")
     return np.linalg.eigvalsh((S + S.T) / 2.0)
+
+
+def certified_spectrum(A, q):
+    """Spectrum of diag(q) A for a dense symmetric A, from the spectrum
+    hook that spectral._factored_jacobian builds for J = diag(q) A: the
+    package path every certified map's jacobian_spectrum takes, not an
+    oracle."""
+    _, hook = _factored_jacobian(A, lambda x: q)
+    return hook(q)
 
 
 def _fmt(x: float) -> str:
